@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use hac_index::token::normalize_word;
 use hac_index::{DocId, Token};
 use hac_query::QueryExpr;
 use hac_vfs::{FileId, VPath};
@@ -183,14 +184,14 @@ impl QueryIndex {
 
 fn collect_keys(expr: &QueryExpr, keys: &mut QueryKeys) {
     match expr {
-        QueryExpr::Term(t) => keys.terms.push(t.to_ascii_lowercase()),
+        QueryExpr::Term(t) => keys.terms.push(normalize_word(t)),
         QueryExpr::Field(n, v) => keys.terms.push(Token::field_key(n, v)),
         QueryExpr::Phrase(ws) => {
             // A document can only gain/lose a phrase match if it
             // gains/loses one of the phrase's words.
-            keys.terms.extend(ws.iter().map(|w| w.to_ascii_lowercase()));
+            keys.terms.extend(ws.iter().map(|w| normalize_word(w)));
         }
-        QueryExpr::Prefix(t) => keys.prefixes.push(t.to_ascii_lowercase()),
+        QueryExpr::Prefix(t) => keys.prefixes.push(normalize_word(t)),
         QueryExpr::Approx(..) | QueryExpr::All | QueryExpr::Dir(_) => keys.broad = true,
         QueryExpr::Not(a) => {
             // Complement: a doc *leaving* the operand's match set enters the

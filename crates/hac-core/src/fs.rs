@@ -1238,18 +1238,7 @@ impl HacFs {
     /// without creating a directory (raw Glimpse-style search, the baseline
     /// of Table 4).
     pub fn search(&self, scope_dir: &VPath, query_text: &str) -> HacResult<Vec<VPath>> {
-        let query = parse(query_text)?;
-        let dir = self.vfs.resolve_nofollow(scope_dir)?;
-        let state = self.state.read();
-        // "Search within this directory" means the reference scope: the
-        // curated set for a semantic directory, the subtree for a plain one.
-        let scope = state.reference_scope(&self.vfs, dir);
-        let result = state.eval_local(&self.vfs, &self.registry, &query.expr, &scope.local);
-        Ok(result
-            .ids()
-            .into_iter()
-            .filter_map(|doc| self.vfs.path_of(FileId(doc.0)).ok())
-            .collect())
+        Ok(self.search_explained(scope_dir, query_text)?.0)
     }
 
     /// Like [`HacFs::search`], additionally returning the index's work
@@ -1264,6 +1253,8 @@ impl HacFs {
         let query = parse(query_text)?;
         let dir = self.vfs.resolve_nofollow(scope_dir)?;
         let state = self.state.read();
+        // "Search within this directory" means the reference scope: the
+        // curated set for a semantic directory, the subtree for a plain one.
         let scope = state.reference_scope(&self.vfs, dir);
         let mut stats = hac_index::EvalStats::default();
         let result = state.eval_local_timed(

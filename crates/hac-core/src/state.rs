@@ -14,11 +14,15 @@
 //!   daemon), never instantly.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hac_index::engine::DocProvider;
-use hac_index::{Bitmap, DocDelta, DocId, Granularity, Index, Token, TransducerRegistry};
+use hac_index::transducer::collect;
+use hac_index::{
+    Bitmap, DocDelta, DocId, Granularity, Index, Token, TokenRef, TokenSink, TransducerRegistry,
+};
 use hac_query::{DirRef, DirUid, Query, QueryExpr};
 use hac_vfs::{FileId, NodeKind, VPath, Vfs, VfsError};
 
@@ -317,9 +321,10 @@ pub struct CachedResult {
     pub result: Bitmap,
 }
 
-/// Token provider that re-tokenizes live file content through the
-/// transducer registry — the moral equivalent of Glimpse grepping the
-/// actual files during candidate verification.
+/// Token provider that streams live file content through the transducer
+/// registry — the moral equivalent of Glimpse grepping the actual files
+/// during candidate verification. The file is read by id, so a candidate
+/// costs one node lookup, not a path rebuild and re-resolution.
 pub struct VfsProvider<'a> {
     /// The namespace to read from.
     pub vfs: &'a Vfs,
@@ -328,36 +333,49 @@ pub struct VfsProvider<'a> {
 }
 
 impl DocProvider for VfsProvider<'_> {
-    fn tokens(&self, doc: DocId) -> Option<Vec<Token>> {
-        let path = self.vfs.path_of(FileId(doc.0)).ok()?;
-        let content = self.vfs.read_file(&path).ok()?;
-        let name = path.file_name().unwrap_or("");
-        Some(extract_tokens(self.registry, name, &content))
+    fn visit(&self, doc: DocId, sink: &mut TokenSink<'_>) -> bool {
+        let Some((name, content)) = self.vfs.file_by_id(FileId(doc.0)) else {
+            return false;
+        };
+        let _ = visit_tokens(self.registry, &name, &content, sink);
+        true
     }
 }
 
-/// Runs the transducer for a file and appends the implicit metadata
-/// attributes HAC contributes for every file: `name:<word>` for each word
-/// of the file name and `ext:<suffix>` for its extension. These make
-/// queries like `ext:eml` or `name:readme` work without content matches —
-/// the SFS-style typed attributes the paper's lineage assumes.
+/// Streams a file's tokens to `sink`: the transducer's, then the implicit
+/// metadata attributes HAC contributes for every file — `name:<word>` for
+/// each word of the file name and `ext:<suffix>` for its extension. These
+/// make queries like `ext:eml` or `name:readme` work without content
+/// matches — the SFS-style typed attributes the paper's lineage assumes.
+pub fn visit_tokens(
+    registry: &TransducerRegistry,
+    file_name: &str,
+    content: &[u8],
+    sink: &mut TokenSink<'_>,
+) -> ControlFlow<()> {
+    registry.visit(file_name, content, sink)?;
+    hac_index::token::scan_words(file_name.as_bytes(), |w| {
+        sink(TokenRef::Field {
+            name: "name",
+            value: w,
+        })
+    })?;
+    match file_name.rsplit_once('.') {
+        Some((_, ext)) if !ext.is_empty() => sink(TokenRef::Field {
+            name: "ext",
+            value: &hac_index::token::fold_ascii(ext),
+        }),
+        _ => ControlFlow::Continue(()),
+    }
+}
+
+/// Collects [`visit_tokens`]: the token list the index stores for a file.
 pub fn extract_tokens(
     registry: &TransducerRegistry,
     file_name: &str,
     content: &[u8],
 ) -> Vec<Token> {
-    let mut tokens = registry.extract(file_name, content);
-    for word in hac_index::tokenize_text(file_name.as_bytes()) {
-        if let Some(w) = word.as_word() {
-            tokens.push(Token::field("name", w));
-        }
-    }
-    if let Some((_, ext)) = file_name.rsplit_once('.') {
-        if !ext.is_empty() {
-            tokens.push(Token::field("ext", ext));
-        }
-    }
-    tokens
+    collect(|sink| visit_tokens(registry, file_name, content, sink))
 }
 
 /// The mutable core of a `HacFs` (guarded by one lock in the facade).

@@ -15,12 +15,14 @@
 //! every assertion is a delta against a pre-test snapshot and every
 //! per-directory counter uses paths unique to its test.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use hac_core::{HacConfig, HacFs};
+use hac_index::token::scan_words;
 use hac_index::transducer::Transducer;
-use hac_index::{tokenize_text, Token, TransducerRegistry};
+use hac_index::{TokenRef, TokenSink, TransducerRegistry};
 use hac_vfs::VPath;
 
 fn p(s: &str) -> VPath {
@@ -136,9 +138,9 @@ impl Transducer for SlowTransducer {
         file_name.ends_with(".slow")
     }
 
-    fn extract(&self, _file_name: &str, content: &[u8]) -> Vec<Token> {
+    fn visit(&self, _file_name: &str, content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
         std::thread::sleep(Duration::from_millis(15));
-        tokenize_text(content)
+        scan_words(content, |w| sink(TokenRef::Word(w)))
     }
 }
 

@@ -434,6 +434,37 @@ fn search_without_directory_is_the_glimpse_baseline() {
     assert_eq!(hits.len(), 1);
 }
 
+#[test]
+fn words_longer_than_the_index_limit_are_found() {
+    // The tokenizer cuts words to MAX_WORD_LEN (48) bytes; a query for the
+    // whole identifier must probe and verify the same cut key.
+    let ident = "Match_Minutiae_Against_The_Enrolled_Template_For_Ridge_Count";
+    assert_eq!(ident.len(), 60);
+    let fs = HacFs::new();
+    fs.mkdir_p(&p("/src")).unwrap();
+    fs.save(&p("/src/other.c"), b"int main(void) {\n  return 0;\n}\n")
+        .unwrap();
+    fs.smkdir(&p("/hits"), ident).unwrap();
+    let source = format!("#include <match.h>\n\nint {ident}(int a) {{\n  return a;\n}}\n");
+    fs.save(&p("/src/match.c"), source.as_bytes()).unwrap();
+    fs.ssync(&p("/")).unwrap();
+
+    let found = |q: &str| -> Vec<String> {
+        let hits = fs.search(&p("/"), q).unwrap();
+        hits.iter().map(|h| h.to_string()).collect()
+    };
+    let want = vec!["/src/match.c".to_string()];
+    assert_eq!(found(ident), want, "word term");
+    assert_eq!(found(&ident.to_ascii_uppercase()), want, "case-folded");
+    assert_eq!(found(&format!("\"int {ident}\"")), want, "phrase");
+    assert_eq!(found(&format!("{}*", &ident[..52])), want, "prefix");
+    // Field values are stored whole, so `func:` takes the whole name.
+    assert_eq!(found(&format!("func:{ident}")), want, "field");
+    // The semantic directory made before the file saw it at ssync: the
+    // dirty-set seeding keys the query by the same cut word.
+    assert_eq!(names(&fs, "/hits"), vec!["match.c"]);
+}
+
 // ---------------------------------------------------------------------
 // Semantic mount points (§3)
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 //! and periodic reindexing.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +23,8 @@ use crate::approx;
 use crate::bitmap::{Bitmap, DenseBitmap, DocId};
 use crate::expr::ContentExpr;
 use crate::lexicon::{Lexicon, TermId};
-use crate::token::Token;
+use crate::token::{normalize_word, Token, TokenRef};
+use crate::transducer::TokenSink;
 
 /// Index addressing granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,29 +59,39 @@ pub struct DocMeta {
 
 /// Source of live document tokens for candidate verification.
 ///
-/// The paper's Glimpse greps the actual files; our equivalent re-tokenizes
-/// the document through whatever transducer owns it. Returning `None` means
-/// the content is unavailable (deleted, unreadable) and the candidate is
-/// dropped.
+/// The paper's Glimpse greps the actual files; our equivalent streams the
+/// document through whatever transducer owns it, so a check can stop at
+/// the first matching token.
 pub trait DocProvider {
-    /// Tokens of the document's current content.
-    fn tokens(&self, doc: DocId) -> Option<Vec<Token>>;
+    /// Streams the tokens of the document's current content to `sink`, in
+    /// extraction order, until `sink` breaks. Returns `false` when the
+    /// content is unavailable (deleted, unreadable); the candidate is then
+    /// dropped.
+    fn visit(&self, doc: DocId, sink: &mut TokenSink<'_>) -> bool;
 }
 
 impl DocProvider for std::collections::HashMap<DocId, Vec<Token>> {
-    fn tokens(&self, doc: DocId) -> Option<Vec<Token>> {
-        self.get(&doc).cloned()
+    fn visit(&self, doc: DocId, sink: &mut TokenSink<'_>) -> bool {
+        let Some(tokens) = self.get(&doc) else {
+            return false;
+        };
+        for t in tokens {
+            if sink(t.as_ref()).is_break() {
+                break;
+            }
+        }
+        true
     }
 }
 
 /// A provider for indexes that never need verification (exact granularity
-/// with no updates since the last rebuild). Panics if consulted — use only
-/// where verification is statically impossible.
+/// with no updates since the last rebuild). Every document reads as
+/// unavailable — use only where verification is statically impossible.
 pub struct NoProvider;
 
 impl DocProvider for NoProvider {
-    fn tokens(&self, _doc: DocId) -> Option<Vec<Token>> {
-        None
+    fn visit(&self, _doc: DocId, _sink: &mut TokenSink<'_>) -> bool {
+        false
     }
 }
 
@@ -391,7 +403,7 @@ impl Index {
         match expr {
             ContentExpr::All => universe.and(&Bitmap::Dense(self.live.clone())),
             ContentExpr::Nothing => Bitmap::new_dense(),
-            ContentExpr::Term(t) => self.eval_key(t, universe, provider, stats),
+            ContentExpr::Term(t) => self.eval_key(&normalize_word(t), universe, provider, stats),
             ContentExpr::Field(n, v) => {
                 self.eval_key(&Token::field_key(n, v), universe, provider, stats)
             }
@@ -409,7 +421,7 @@ impl Index {
                 acc
             }
             ContentExpr::Prefix(prefix) => {
-                let prefix = prefix.to_ascii_lowercase();
+                let prefix = normalize_word(prefix);
                 let matched: Vec<String> = self
                     .lexicon
                     .iter()
@@ -511,25 +523,18 @@ impl Index {
         if words.is_empty() {
             return Bitmap::new_dense();
         }
+        let needle: Vec<String> = words.iter().map(|w| normalize_word(w)).collect();
         // Conjunction of the member words narrows the candidates…
         let mut cand = universe.clone();
-        for w in words {
-            cand = self.eval_key(&w.to_ascii_lowercase(), &cand, provider, stats);
+        for w in &needle {
+            cand = self.eval_key(w, &cand, provider, stats);
         }
         // …then adjacency is verified against live content.
-        let needle: Vec<String> = words.iter().map(|w| w.to_ascii_lowercase()).collect();
+        let phrase = PhraseMatcher::new(&needle);
         let mut out = Bitmap::new_dense();
         for doc in cand.ids() {
             stats.verified += 1;
-            let Some(tokens) = provider.tokens(doc) else {
-                stats.false_positives += 1;
-                continue;
-            };
-            let seq: Vec<&str> = tokens.iter().filter_map(Token::as_word).collect();
-            if seq
-                .windows(needle.len())
-                .any(|w| w.iter().zip(needle.iter()).all(|(a, b)| *a == b))
-            {
+            if phrase.found_in(provider, doc) {
                 out.insert(doc);
             } else {
                 stats.false_positives += 1;
@@ -552,10 +557,70 @@ impl Index {
     }
 }
 
+/// Whether `doc` is readable and streams a token whose key is `key`;
+/// stops at the first match.
 fn doc_has_key(provider: &dyn DocProvider, doc: DocId, key: &str) -> bool {
-    provider
-        .tokens(doc)
-        .is_some_and(|tokens| tokens.iter().any(|t| t.key() == key))
+    let mut found = false;
+    let readable = provider.visit(doc, &mut |t| {
+        found = t.key_eq(key);
+        if found {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    readable && found
+}
+
+/// Finds a phrase in a document's word stream without buffering it: a
+/// Knuth–Morris–Pratt automaton over words tracks the longest needle prefix
+/// that ends at the current word, so every partial match is carried forward
+/// as the words stream past. Field tokens are not words and are skipped.
+struct PhraseMatcher<'n> {
+    needle: &'n [String],
+    /// `fail[i]`: length of the longest proper prefix of `needle[..=i]`
+    /// that is also its suffix.
+    fail: Vec<usize>,
+}
+
+impl<'n> PhraseMatcher<'n> {
+    fn new(needle: &'n [String]) -> Self {
+        let mut fail = vec![0; needle.len()];
+        let mut k = 0;
+        for i in 1..needle.len() {
+            while k > 0 && needle[i] != needle[k] {
+                k = fail[k - 1];
+            }
+            if needle[i] == needle[k] {
+                k += 1;
+            }
+            fail[i] = k;
+        }
+        PhraseMatcher { needle, fail }
+    }
+
+    /// Whether `doc` is readable and holds the needle as consecutive words.
+    fn found_in(&self, provider: &dyn DocProvider, doc: DocId) -> bool {
+        let n = self.needle.len();
+        let mut matched = 0;
+        let readable = provider.visit(doc, &mut |t| {
+            let TokenRef::Word(w) = t else {
+                return ControlFlow::Continue(());
+            };
+            while matched > 0 && self.needle[matched] != w {
+                matched = self.fail[matched - 1];
+            }
+            if self.needle[matched] == w {
+                matched += 1;
+            }
+            if matched == n {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        readable && matched == n
+    }
 }
 
 #[cfg(test)]

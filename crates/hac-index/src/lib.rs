@@ -37,5 +37,5 @@ pub use engine::{DocDelta, DocProvider, EvalStats, Granularity, Index, IndexStat
 pub use expr::ContentExpr;
 pub use lexicon::{Lexicon, TermId};
 pub use segment::{Segment, SegmentDoc};
-pub use token::{tokenize_text, Token};
-pub use transducer::{Transducer, TransducerRegistry};
+pub use token::{tokenize_text, Token, TokenRef};
+pub use transducer::{TokenSink, Transducer, TransducerRegistry};

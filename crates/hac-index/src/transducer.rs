@@ -6,7 +6,13 @@
 //! bytes into the token stream the index stores. The registry picks a
 //! transducer per file by name/extension, defaulting to plain text.
 
-use crate::token::{tokenize_text, Token};
+use std::borrow::Cow;
+use std::ops::ControlFlow;
+
+use crate::token::{fold_ascii, scan_words, Token, TokenRef};
+
+/// Receives a transducer's tokens one at a time; breaking stops the scan.
+pub type TokenSink<'s> = dyn FnMut(TokenRef<'_>) -> ControlFlow<()> + 's;
 
 /// Converts file content into indexable tokens.
 pub trait Transducer: Send + Sync {
@@ -16,8 +22,34 @@ pub trait Transducer: Send + Sync {
     /// Whether this transducer wants files with the given name.
     fn matches(&self, file_name: &str) -> bool;
 
-    /// Extracts tokens from content.
-    fn extract(&self, file_name: &str, content: &[u8]) -> Vec<Token>;
+    /// Streams the tokens of `content` to `sink` in order, case-folded, and
+    /// stops as soon as `sink` breaks (returning the break). This is the
+    /// one tokenization path: indexing collects it through
+    /// [`Transducer::extract`], and candidate verification consumes it
+    /// directly, so a query can stop at its first matching token.
+    fn visit(&self, file_name: &str, content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()>;
+
+    /// Collects every token [`Transducer::visit`] streams. Implementors
+    /// should not override this: the index and the verifier must see the
+    /// same tokens.
+    fn extract(&self, file_name: &str, content: &[u8]) -> Vec<Token> {
+        collect(|sink| self.visit(file_name, content, sink))
+    }
+}
+
+/// Runs a visit and collects every token it streams.
+pub fn collect(visit: impl FnOnce(&mut TokenSink<'_>) -> ControlFlow<()>) -> Vec<Token> {
+    let mut tokens = Vec::new();
+    let _ = visit(&mut |t| {
+        tokens.push(t.to_token());
+        ControlFlow::Continue(())
+    });
+    tokens
+}
+
+/// Streams the words of `content` as word tokens.
+fn visit_words(content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
+    scan_words(content, |w| sink(TokenRef::Word(w)))
 }
 
 /// Plain text: every word, no fields. The fallback for unknown types.
@@ -33,8 +65,8 @@ impl Transducer for PlainText {
         true
     }
 
-    fn extract(&self, _file_name: &str, content: &[u8]) -> Vec<Token> {
-        tokenize_text(content)
+    fn visit(&self, _file_name: &str, content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
+        visit_words(content, sink)
     }
 }
 
@@ -58,9 +90,8 @@ impl Transducer for MailTransducer {
         file_name.ends_with(".eml") || file_name.ends_with(".mail")
     }
 
-    fn extract(&self, _file_name: &str, content: &[u8]) -> Vec<Token> {
+    fn visit(&self, _file_name: &str, content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
         let text = String::from_utf8_lossy(content);
-        let mut tokens = Vec::new();
         let mut body_start = 0;
         for (offset, line) in split_lines(&text) {
             if line.is_empty() {
@@ -68,27 +99,23 @@ impl Transducer for MailTransducer {
                 break;
             }
             body_start = offset + line.len() + 1;
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                if MAIL_HEADERS.contains(&name.as_str()) {
-                    let value = value.trim();
-                    // Address-ish headers index each word of the value as a
-                    // separate field token so `from:alice` matches
-                    // "Alice Liddell <alice@example.org>".
-                    for word in tokenize_text(value.as_bytes()) {
-                        if let Token::Word(w) = word {
-                            tokens.push(Token::field(&name, &w));
-                        }
-                    }
-                    if name == "subject" {
-                        tokens.extend(tokenize_text(value.as_bytes()));
-                    }
-                }
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            let name = name.trim();
+            let Some(&name) = MAIL_HEADERS.iter().find(|h| h.eq_ignore_ascii_case(name)) else {
+                continue;
+            };
+            let value = value.trim().as_bytes();
+            // Address-ish headers index each word of the value as a
+            // separate field token so `from:alice` matches
+            // "Alice Liddell <alice@example.org>".
+            scan_words(value, |w| sink(TokenRef::Field { name, value: w }))?;
+            if name == "subject" {
+                visit_words(value, sink)?;
             }
         }
-        let body = &text[body_start.min(text.len())..];
-        tokens.extend(tokenize_text(body.as_bytes()));
-        tokens
+        visit_words(&text.as_bytes()[body_start.min(text.len())..], sink)
     }
 }
 
@@ -106,6 +133,19 @@ fn split_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
 #[derive(Debug, Default)]
 pub struct CSourceTransducer;
 
+/// Control keywords that look like `name(` but never define a function.
+const C_KEYWORDS: &[&str] = &["if", "while", "for", "switch", "return", "sizeof"];
+
+/// The characters of `s` that `keep` accepts, borrowed when it accepts
+/// them all.
+fn keep_chars(s: &str, keep: impl Fn(char) -> bool) -> Cow<'_, str> {
+    if s.chars().all(&keep) {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(s.chars().filter(|c| keep(*c)).collect())
+    }
+}
+
 impl Transducer for CSourceTransducer {
     fn name(&self) -> &'static str {
         "csource"
@@ -115,41 +155,40 @@ impl Transducer for CSourceTransducer {
         file_name.ends_with(".c") || file_name.ends_with(".h")
     }
 
-    fn extract(&self, _file_name: &str, content: &[u8]) -> Vec<Token> {
+    fn visit(&self, _file_name: &str, content: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
         let text = String::from_utf8_lossy(content);
-        let mut tokens = Vec::new();
         for line in text.lines() {
             let trimmed = line.trim_start();
             if let Some(rest) = trimmed.strip_prefix("#include") {
-                let target: String = rest
-                    .chars()
-                    .filter(|c| c.is_ascii_alphanumeric() || *c == '.' || *c == '_')
-                    .collect();
+                let target =
+                    keep_chars(rest, |c| c.is_ascii_alphanumeric() || c == '.' || c == '_');
                 if !target.is_empty() {
-                    tokens.push(Token::field("include", &target));
+                    sink(TokenRef::Field {
+                        name: "include",
+                        value: &fold_ascii(&target),
+                    })?;
                 }
             }
             // A crude function-definition heuristic: `name(` at the start of
             // a line that is not a control keyword.
-            if let Some(paren) = trimmed.find('(') {
-                let head = &trimmed[..paren];
-                if let Some(ident) = head.split_whitespace().last() {
-                    let ident: String = ident
-                        .chars()
-                        .filter(|c| c.is_ascii_alphanumeric() || *c == '_')
-                        .collect();
-                    if !ident.is_empty()
-                        && !["if", "while", "for", "switch", "return", "sizeof"]
-                            .contains(&ident.as_str())
-                        && trimmed.ends_with('{')
-                    {
-                        tokens.push(Token::field("func", &ident));
-                    }
-                }
+            if !trimmed.ends_with('{') {
+                continue;
+            }
+            let Some(paren) = trimmed.find('(') else {
+                continue;
+            };
+            let Some(ident) = trimmed[..paren].split_whitespace().last() else {
+                continue;
+            };
+            let ident = keep_chars(ident, |c| c.is_ascii_alphanumeric() || c == '_');
+            if !ident.is_empty() && !C_KEYWORDS.contains(&ident.as_ref()) {
+                sink(TokenRef::Field {
+                    name: "func",
+                    value: &fold_ascii(&ident),
+                })?;
             }
         }
-        tokens.extend(tokenize_text(content));
-        tokens
+        visit_words(content, sink)
     }
 }
 
@@ -188,24 +227,33 @@ impl TransducerRegistry {
         self.transducers.insert(0, t);
     }
 
+    /// The transducer that handles `file_name`.
+    fn pick(&self, file_name: &str) -> &dyn Transducer {
+        self.transducers
+            .iter()
+            .find(|t| t.matches(file_name))
+            .map_or(&self.fallback as &dyn Transducer, |t| t.as_ref())
+    }
+
+    /// Streams a file's tokens to `sink`, choosing a transducer by name
+    /// (see [`Transducer::visit`]).
+    pub fn visit(
+        &self,
+        file_name: &str,
+        content: &[u8],
+        sink: &mut TokenSink<'_>,
+    ) -> ControlFlow<()> {
+        self.pick(file_name).visit(file_name, content, sink)
+    }
+
     /// Extracts tokens for a file, choosing a transducer by name.
     pub fn extract(&self, file_name: &str, content: &[u8]) -> Vec<Token> {
-        for t in &self.transducers {
-            if t.matches(file_name) {
-                return t.extract(file_name, content);
-            }
-        }
-        self.fallback.extract(file_name, content)
+        collect(|sink| self.visit(file_name, content, sink))
     }
 
     /// The transducer name that would handle `file_name` (diagnostics).
     pub fn route(&self, file_name: &str) -> &'static str {
-        for t in &self.transducers {
-            if t.matches(file_name) {
-                return t.name();
-            }
-        }
-        self.fallback.name()
+        self.pick(file_name).name()
     }
 }
 
@@ -281,8 +329,8 @@ The minutiae extraction pipeline is done.\n";
             fn matches(&self, f: &str) -> bool {
                 f.ends_with(".eml")
             }
-            fn extract(&self, _f: &str, _c: &[u8]) -> Vec<Token> {
-                vec![Token::word("custom")]
+            fn visit(&self, _f: &str, _c: &[u8], sink: &mut TokenSink<'_>) -> ControlFlow<()> {
+                sink(TokenRef::Word("custom"))
             }
         }
         let mut reg = TransducerRegistry::new();

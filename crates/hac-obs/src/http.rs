@@ -37,11 +37,11 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::trace;
 
@@ -117,7 +117,7 @@ struct HttpQueue {
 }
 
 impl HttpQueue {
-    fn push(&self, mut stream: TcpStream) {
+    fn push(&self, stream: TcpStream) {
         let mut conns = self.conns.lock().unwrap();
         if conns.len() >= self.depth {
             drop(conns);
@@ -125,11 +125,7 @@ impl HttpQueue {
             // peer why (best effort — the write itself may fail) instead
             // of a bare reset.
             crate::counter("hac_obs_http_shed_total", &[]).inc();
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            let _ = stream.write_all(
-                b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
-                  Content-Length: 9\r\nConnection: close\r\n\r\noverload\n",
-            );
+            shed(stream);
             return;
         }
         conns.push_back(stream);
@@ -146,6 +142,37 @@ impl HttpQueue {
                 return None;
             }
             conns = self.ready.wait(conns).unwrap();
+        }
+    }
+}
+
+/// Time a shed connection may hold the accept loop: writing the 503 and
+/// draining the request together stay within it.
+const SHED_LINGER: Duration = Duration::from_millis(250);
+
+/// Answers an overflowing connection with a 503 and closes it so the peer
+/// can read the answer. The request was never read, and closing a socket
+/// with unread bytes makes Linux send RST, which can discard the 503 before
+/// the peer reads it. So half-close after the write (the peer sees the 503,
+/// then EOF) and drain what the peer sent until it closes or the linger
+/// budget runs out; only then drop the socket.
+fn shed(mut stream: TcpStream) {
+    let deadline = Instant::now() + SHED_LINGER;
+    let _ = stream.set_write_timeout(Some(SHED_LINGER));
+    let _ = stream.write_all(
+        b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
+          Content-Length: 9\r\nConnection: close\r\n\r\noverload\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut scratch = [0u8; 1024];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }

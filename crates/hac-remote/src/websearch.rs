@@ -14,7 +14,10 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 use hac_core::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
-use hac_index::{tokenize_text, Bitmap, ContentExpr, DocId, Granularity, Index, Token};
+use hac_index::token::scan_words;
+use hac_index::{
+    tokenize_text, Bitmap, ContentExpr, DocId, Granularity, Index, TokenRef, TokenSink,
+};
 
 pub use hac_core::FailurePolicy;
 
@@ -112,11 +115,12 @@ impl WebSearchSim {
 struct StoreProvider<'a>(&'a Store);
 
 impl hac_index::DocProvider for StoreProvider<'_> {
-    fn tokens(&self, doc: DocId) -> Option<Vec<Token>> {
-        self.0
-            .docs
-            .get(&doc.0)
-            .map(|(_, _, content)| tokenize_text(content))
+    fn visit(&self, doc: DocId, sink: &mut TokenSink<'_>) -> bool {
+        let Some((_, _, content)) = self.0.docs.get(&doc.0) else {
+            return false;
+        };
+        let _ = scan_words(content, |w| sink(TokenRef::Word(w)));
+        true
     }
 }
 

@@ -445,6 +445,20 @@ impl Vfs {
         }
     }
 
+    /// Reads a regular file by id: its name in its parent directory and its
+    /// content, under one read lock and without building or resolving a
+    /// path. `None` when the id is not a live regular file of this
+    /// namespace.
+    pub fn file_by_id(&self, id: FileId) -> Option<(String, Bytes)> {
+        self.counters.reads.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.read();
+        let node = inner.nodes.get(id)?;
+        match &node.body {
+            NodeBody::File { data } => Some((node.name.clone(), data.clone())),
+            NodeBody::Dir { .. } | NodeBody::Symlink { .. } => None,
+        }
+    }
+
     /// Reads the target of a symbolic link without following it.
     pub fn readlink(&self, path: &VPath) -> VfsResult<VPath> {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
