@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use hac_bench::{arg_flag, arg_str, arg_usize, report_metrics_snapshot};
 use hac_core::RemoteQuerySystem;
 use hac_index::ContentExpr;
-use hac_net::wire::{self, Request, RequestBody, ResponseBody};
+use hac_net::wire::{self, Request, RequestBody, ResponseBody, PROTOCOL_VERSION};
 use hac_net::{ChaosProxy, ClientConfig, HacServer, NetRemote, ServerConfig};
 use hac_remote::WebSearchSim;
 
@@ -148,8 +148,9 @@ fn park_connections(addr: &str, n: usize) -> Vec<TcpStream> {
 
 /// Pings every parked connection once, matched by id — the 1k-conn soak.
 fn soak_parked(parked: &mut [TcpStream]) -> bool {
+    let version = PROTOCOL_VERSION;
     for (i, conn) in parked.iter_mut().enumerate() {
-        let ping = wire::encode_request(&Request::new(i as u64, RequestBody::Ping { version: 1 }));
+        let ping = wire::encode_request(&Request::new(i as u64, RequestBody::Ping { version }));
         if wire::write_frame(conn, &ping).is_err() {
             return false;
         }
@@ -158,10 +159,10 @@ fn soak_parked(parked: &mut [TcpStream]) -> bool {
         let Ok(payload) = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN) else {
             return false;
         };
-        let Ok(resp) = wire::decode_response(&payload) else {
+        let Ok(resp) = wire::decode_response_compact(&payload) else {
             return false;
         };
-        if resp.id != i as u64 || resp.body != (ResponseBody::Pong { version: 1 }) {
+        if resp.id != i as u64 || resp.body != (ResponseBody::Pong { version }) {
             return false;
         }
     }

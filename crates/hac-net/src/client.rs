@@ -20,6 +20,11 @@
 //! timeouts). Semantic errors from the far side — not found, unsupported
 //! query, unknown namespace, version mismatch — fail fast.
 //!
+//! Every socket pings at [`PROTOCOL_VERSION`] before it joins the pool;
+//! a server speaking another version refuses the handshake and the
+//! request fails naming both versions. Requests carry the caller's trace
+//! context whenever one is active.
+//!
 //! ## Pipelined mode
 //!
 //! With `pipeline_depth > 1` the client multiplexes: concurrent callers
@@ -43,8 +48,7 @@ use hac_core::remote::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem, R
 use hac_index::ContentExpr;
 
 use crate::wire::{
-    self, Request, RequestBody, Response, ResponseBody, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    self, Request, RequestBody, Response, ResponseBody, WireError, PROTOCOL_VERSION,
 };
 
 /// Tuning for a [`NetRemote`].
@@ -139,17 +143,9 @@ impl ClientMetrics {
     }
 }
 
-/// A pooled socket plus what the version handshake negotiated for it.
+/// A pooled, handshaken socket.
 struct PooledConn {
     stream: TcpStream,
-    /// The protocol version the handshake negotiated for this connection.
-    version: u16,
-    /// Whether the server speaks v2+ on this connection, i.e. whether
-    /// requests may carry trace context.
-    traced: bool,
-    /// Whether the server speaks v3+ on this connection, i.e. whether
-    /// responses arrive in the compact codec.
-    compact: bool,
     /// Streaming receive state. A whole response usually arrives as one
     /// segment, so assembling frames from bulk reads costs one syscall
     /// where header-then-payload `read_exact`s cost two — and the buffer
@@ -251,9 +247,6 @@ impl Pool {
 /// slots, matched by request id.
 struct MuxConn {
     stream: TcpStream,
-    version: u16,
-    traced: bool,
-    compact: bool,
     write_lock: Mutex<()>,
     state: Mutex<MuxState>,
     wakeup: Condvar,
@@ -278,9 +271,6 @@ impl MuxConn {
     fn from_dialed(conn: PooledConn) -> Self {
         MuxConn {
             stream: conn.stream,
-            version: conn.version,
-            traced: conn.traced,
-            compact: conn.compact,
             write_lock: Mutex::new(()),
             state: Mutex::new(MuxState {
                 pending: BTreeMap::new(),
@@ -396,23 +386,14 @@ impl NetRemote {
         }
     }
 
-    /// Round-trips a ping; returns the negotiated protocol version. A
-    /// server refusing our version is re-pinged once at the oldest version
-    /// we still speak, mirroring the dial handshake's downgrade.
+    /// Round-trips a ping; returns the server's protocol version.
     ///
     /// # Errors
     ///
-    /// Transport failures map onto [`RemoteError`] like any request.
+    /// Transport failures map onto [`RemoteError`] like any request; a
+    /// server speaking another version is `Unavailable`.
     pub fn ping(&self) -> Result<u16, RemoteError> {
-        match self.ping_version(PROTOCOL_VERSION) {
-            Err(RemoteError::Unavailable(msg)) if msg.contains("version mismatch") => {
-                self.ping_version(MIN_PROTOCOL_VERSION)
-            }
-            other => other,
-        }
-    }
-
-    fn ping_version(&self, version: u16) -> Result<u16, RemoteError> {
+        let version = PROTOCOL_VERSION;
         match self.request("ping", RequestBody::Ping { version })? {
             ResponseBody::Pong { version } => Ok(version),
             other => Err(unexpected(other)),
@@ -436,33 +417,38 @@ impl NetRemote {
         }
     }
 
-    /// Pings `conn` at `version`; `Ok(Some(v))` on a pong, `Ok(None)` when
-    /// the server refuses that version but might speak another. Handshake
-    /// responses are always persist-coded: a server only switches to the
-    /// compact codec *after* answering the ping that negotiated it.
-    fn handshake_ping(
-        &self,
-        conn: &TcpStream,
-        rx: &mut wire::FrameDecoder,
-        version: u16,
-    ) -> io::Result<Option<u16>> {
+    /// Pings `conn` at [`PROTOCOL_VERSION`]. A refusal or a pong for any
+    /// other version is an `InvalidData` error naming both versions,
+    /// which the retry loop treats as fatal.
+    fn handshake(&self, conn: &TcpStream, rx: &mut wire::FrameDecoder) -> io::Result<()> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let ping = RequestBody::Ping {
+            version: PROTOCOL_VERSION,
+        };
         let resp = exchange(
             conn,
             rx,
-            &Request::new(id, RequestBody::Ping { version }),
-            false,
+            &Request::new(id, ping),
             &self.metrics.bytes_written,
             None,
         )?;
-        match resp.body {
-            ResponseBody::Pong { version } => Ok(Some(version)),
-            ResponseBody::Err(WireError::VersionMismatch { .. }) => Ok(None),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "handshake: unexpected response to ping",
-            )),
-        }
+        let server = match resp.body {
+            ResponseBody::Pong { version } if version == PROTOCOL_VERSION => return Ok(()),
+            ResponseBody::Pong { version }
+            | ResponseBody::Err(WireError::VersionMismatch {
+                server: version, ..
+            }) => version,
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "handshake: unexpected response to ping",
+                ))
+            }
+        };
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("protocol version mismatch (server v{server}, client v{PROTOCOL_VERSION})"),
+        ))
     }
 
     fn dial(&self) -> io::Result<PooledConn> {
@@ -470,41 +456,14 @@ impl NetRemote {
         let mut last = io::Error::new(io::ErrorKind::NotFound, "no address resolved");
         for addr in self.addr.as_str().to_socket_addrs()? {
             match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
-                Ok(conn) => {
-                    conn.set_read_timeout(Some(self.config.retry.request_timeout))?;
-                    conn.set_write_timeout(Some(self.config.retry.request_timeout))?;
-                    conn.set_nodelay(true)?;
+                Ok(stream) => {
+                    stream.set_read_timeout(Some(self.config.retry.request_timeout))?;
+                    stream.set_write_timeout(Some(self.config.retry.request_timeout))?;
+                    stream.set_nodelay(true)?;
                     let mut rx = wire::FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
-                    // Version handshake before the socket joins the pool:
-                    // offer each version we speak, newest first. The server
-                    // answering `v` downgrades the *connection* — a v1 peer
-                    // sees only v1 shapes and untraced requests.
-                    for version in (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).rev() {
-                        let Some(v) = self.handshake_ping(&conn, &mut rx, version)? else {
-                            continue;
-                        };
-                        if v < 2 {
-                            hac_obs::counter(
-                                "hac_net_trace_downgrades_total",
-                                &[("ns", &self.ns.0)],
-                            )
-                            .inc();
-                        }
-                        return Ok(PooledConn {
-                            stream: conn,
-                            version: v,
-                            traced: v >= 2,
-                            compact: v >= 3,
-                            rx,
-                        });
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "protocol version mismatch: server speaks nothing \
-                             between v{MIN_PROTOCOL_VERSION} and v{PROTOCOL_VERSION}"
-                        ),
-                    ));
+                    // Version handshake before the socket joins the pool.
+                    self.handshake(&stream, &mut rx)?;
+                    return Ok(PooledConn { stream, rx });
                 }
                 Err(e) => last = e,
             }
@@ -514,8 +473,8 @@ impl NetRemote {
 
     /// One attempt: checkout/dial, send, receive, return socket to pool.
     ///
-    /// The attempt runs under a `net_client_request` span, and on traced
-    /// connections that span's context rides inside the request so the
+    /// The attempt runs under a `net_client_request` span, and when the
+    /// caller is traced that span's context rides inside the request so the
     /// server's spans nest under it. A traced response reports how long
     /// the server spent, letting us split the round trip into server time
     /// (`hac_net_server_time_us`) and everything else — serialization,
@@ -541,31 +500,18 @@ impl NetRemote {
                 }
             },
         };
-        if let Some(min) = min_version(body).filter(|&min| conn.version < min) {
-            // A pre-v4 server cannot even *decode* the new federation
-            // ops, so refusing here keeps the socket healthy instead of
-            // letting the peer drop it on a garbled request.
-            let server = conn.version;
-            self.pool.put_back(conn);
-            return Err(AttemptError::Wire(WireError::Remote(
-                RemoteError::UnsupportedQuery(format!(
-                    "op {op} needs protocol v{min}, server speaks v{server}"
-                )),
-            )));
-        }
         let mut span = hac_obs::span!("net_client_request", ns = self.ns.0, op = op);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut req = Request::new(id, body.clone());
-        if conn.traced {
-            req.trace = span.context().map(Into::into);
-        }
+        let req = Request {
+            id,
+            body: body.clone(),
+            trace: span.context().map(Into::into),
+        };
         let start = Instant::now();
-        let compact = conn.compact;
         match exchange(
             &conn.stream,
             &mut conn.rx,
             &req,
-            compact,
             &self.metrics.bytes_written,
             sink,
         ) {
@@ -667,20 +613,13 @@ impl NetRemote {
         body: &RequestBody,
     ) -> Result<ResponseBody, AttemptError> {
         let conn = self.mux_checkout()?;
-        if let Some(min) = min_version(body).filter(|&min| conn.version < min) {
-            return Err(AttemptError::Wire(WireError::Remote(
-                RemoteError::UnsupportedQuery(format!(
-                    "op {op} needs protocol v{min}, server speaks v{}",
-                    conn.version
-                )),
-            )));
-        }
         let mut span = hac_obs::span!("net_client_request", ns = self.ns.0, op = op);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut req = Request::new(id, body.clone());
-        if conn.traced {
-            req.trace = span.context().map(Into::into);
-        }
+        let req = Request {
+            id,
+            body: body.clone(),
+            trace: span.context().map(Into::into),
+        };
         let start = Instant::now();
         conn.state
             .lock()
@@ -771,7 +710,7 @@ impl NetRemote {
                 let mut batch = Vec::new();
                 loop {
                     match rx.next_frame() {
-                        Ok(Some(payload)) => match decode_received(payload, conn.compact, None) {
+                        Ok(Some(payload)) => match decode_received(payload, None) {
                             Ok(resp) => {
                                 batch.push(resp);
                                 continue;
@@ -837,8 +776,8 @@ impl NetRemote {
     }
 
     /// Like [`NetRemote::request`], but a `Docs` response decoded on a
-    /// compact (v3) classic-pool connection recycles `sink`'s existing
-    /// allocations instead of materializing fresh strings.
+    /// classic-pool connection recycles `sink`'s existing allocations
+    /// instead of materializing fresh strings.
     fn request_with_sink(
         &self,
         op: &'static str,
@@ -900,10 +839,10 @@ impl RemoteQuerySystem for NetRemote {
         }
     }
 
-    /// Zero-allocation steady state: on a compact (v3) classic-pool
-    /// connection the decoder refills `out`'s existing strings in place,
-    /// so repeatedly polling a namespace with the same buffer stops
-    /// paying the per-doc materialization cost a fresh [`Vec`] forces.
+    /// Zero-allocation steady state: on a classic-pool connection the
+    /// decoder refills `out`'s existing strings in place, so repeatedly
+    /// polling a namespace with the same buffer stops paying the per-doc
+    /// materialization cost a fresh [`Vec`] forces.
     fn search_into(
         &self,
         query: &ContentExpr,
@@ -1009,19 +948,6 @@ impl RemoteQuerySystem for NetRemote {
     }
 }
 
-/// The minimum negotiated protocol version `body` may be sent on, when
-/// above the baseline: the v4 federation ops and v5 fleet observability
-/// ops are additive, so an older server would fail to decode them.
-fn min_version(body: &RequestBody) -> Option<u16> {
-    match body {
-        RequestBody::Manifest { .. }
-        | RequestBody::Object { .. }
-        | RequestBody::ShardMap { .. } => Some(4),
-        RequestBody::TraceSpans { .. } | RequestBody::Metrics { .. } => Some(5),
-        _ => None,
-    }
-}
-
 /// A decoded response plus how many wire bytes it occupied.
 struct Received {
     id: u64,
@@ -1037,7 +963,6 @@ fn exchange(
     mut conn: &TcpStream,
     rx: &mut wire::FrameDecoder,
     req: &Request,
-    compact: bool,
     bytes_written: &hac_obs::Counter,
     sink: Option<&mut Vec<RemoteDoc>>,
 ) -> io::Result<Received> {
@@ -1046,7 +971,7 @@ fn exchange(
     bytes_written.add(bytes.len() as u64 + 8);
     loop {
         if let Some(payload) = rx.next_frame()? {
-            return decode_received(payload, compact, sink);
+            return decode_received(payload, sink);
         }
         if rx.read_from(&mut conn)? == 0 {
             return Err(io::Error::new(
@@ -1057,24 +982,14 @@ fn exchange(
     }
 }
 
-/// Decodes one response payload in whichever codec the connection speaks.
-/// With a `sink`, a compact `Docs` body recycles the sink's allocations;
-/// the refilled vec still travels inside the returned body (by move), so
-/// callers get it back through the normal path.
-fn decode_received(
-    payload: &[u8],
-    compact: bool,
-    sink: Option<&mut Vec<RemoteDoc>>,
-) -> io::Result<Received> {
-    let resp: Response = if compact {
-        match sink {
-            Some(pool) => wire::decode_response_compact_reusing(payload, pool)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            None => wire::decode_response_compact(payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-        }
-    } else {
-        wire::decode_response(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+/// Decodes one response payload. With a `sink`, a `Docs` body recycles
+/// the sink's allocations; the refilled vec still travels inside the
+/// returned body (by move), so callers get it back through the normal
+/// path.
+fn decode_received(payload: &[u8], sink: Option<&mut Vec<RemoteDoc>>) -> io::Result<Received> {
+    let resp: Response = match sink {
+        Some(pool) => wire::decode_response_compact_reusing(payload, pool)?,
+        None => wire::decode_response_compact(payload)?,
     };
     Ok(Received {
         id: resp.id,

@@ -4,8 +4,9 @@
 //! everything in `hac-remote` simulates them in-process. This crate makes
 //! the remote side real:
 //!
-//! * [`wire`] — a versioned, length-prefixed binary protocol (serde-framed
-//!   request/response with request ids for pipelining) covering the full
+//! * [`wire`] — a length-prefixed binary protocol with one version
+//!   (persist-coded requests, compact-coded responses, request ids for
+//!   pipelining) covering the full
 //!   [`RemoteQuerySystem`](hac_core::RemoteQuerySystem) surface — `search`,
 //!   `fetch` — plus a `ping`/`capabilities` handshake;
 //! * [`server::HacServer`] — exports registered backends (including a
@@ -37,6 +38,5 @@ pub use chaos::{ChaosMode, ChaosProxy};
 pub use client::{ClientConfig, NetRemote};
 pub use server::{HacServer, LoopStats, ServerConfig};
 pub use wire::{
-    Request, RequestBody, Response, ResponseBody, TraceContext, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    Request, RequestBody, Response, ResponseBody, TraceContext, WireError, PROTOCOL_VERSION,
 };

@@ -44,8 +44,7 @@ use hac_core::RemoteQuerySystem;
 use polling::{Event, Interest, Poller};
 
 use crate::wire::{
-    self, FrameDecoder, Request, RequestBody, Response, ResponseBody, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, FrameDecoder, Request, RequestBody, Response, ResponseBody, WireError, PROTOCOL_VERSION,
 };
 
 /// Tuning for a [`HacServer`].
@@ -96,9 +95,6 @@ struct Job {
     key: usize,
     generation: u64,
     request: Request,
-    /// Encode the response with the compact v3 codec (captured at decode
-    /// time so a v3-negotiating ping's own pong stays persist-coded).
-    compact: bool,
 }
 
 /// A finished job's encoded response payload, routed back to the loop.
@@ -429,11 +425,7 @@ fn cpu_worker(
             bill_to.as_ref().map(|(ns, slot)| (ns.as_str(), *slot)),
             started.elapsed().as_micros() as u64,
         );
-        let payload = if job.compact {
-            wire::encode_response_compact(&response)
-        } else {
-            wire::encode_response(&response)
-        };
+        let payload = wire::encode_response_compact(&response);
         shared
             .completions
             .lock()
@@ -455,13 +447,11 @@ struct Conn {
     /// cycle drains every response completed in it.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Reused compact-encode buffer for loop-side responses (protocol
-    /// errors answered without a worker round trip).
+    /// Reused encode buffer for responses built on the loop thread
+    /// (inline dispatches and undecodable-request refusals).
     scratch: Vec<u8>,
     generation: u64,
     in_flight: usize,
-    /// Responses encode with the compact v3 codec (negotiated by ping).
-    compact: bool,
     /// Peer half-closed its write side; finish pending work, then close.
     read_closed: bool,
     interest: Interest,
@@ -483,19 +473,8 @@ fn append_framed(write_buf: &mut Vec<u8>, payload: &[u8]) {
 
 impl Conn {
     fn append_response(&mut self, resp: &Response) {
-        self.append_response_with(resp, self.compact);
-    }
-
-    fn append_response_with(&mut self, resp: &Response, compact: bool) {
-        if compact {
-            wire::encode_response_compact_into(resp, &mut self.scratch);
-            self.write_buf.extend_from_slice(&wire::FRAME_MAGIC);
-            self.write_buf
-                .extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
-            self.write_buf.extend_from_slice(&self.scratch);
-        } else {
-            append_framed(&mut self.write_buf, &wire::encode_response(resp));
-        }
+        wire::encode_response_compact_into(resp, &mut self.scratch);
+        append_framed(&mut self.write_buf, &self.scratch);
         self.buffered_responses += 1;
     }
 
@@ -671,7 +650,6 @@ impl EventLoop {
                         scratch: Vec::new(),
                         generation: self.generations[key],
                         in_flight: 0,
-                        compact: false,
                         read_closed: false,
                         interest: Interest::READ,
                         last_activity: Instant::now(),
@@ -751,25 +729,11 @@ impl EventLoop {
                     }
                 };
                 match decoded {
-                    Ok(request) => {
-                        // Version bookkeeping happens at decode time so a
-                        // burst of [ping v3, search, …] encodes each
-                        // response in the codec its sender expects: the
-                        // pong itself persist-coded (readable pre-upgrade),
-                        // everything after it compact.
-                        let compact = conn.compact;
-                        if let RequestBody::Ping { version } = request.body {
-                            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                                conn.compact = version >= 3;
-                            }
-                        }
-                        jobs.push(Job {
-                            key,
-                            generation: conn.generation,
-                            request,
-                            compact,
-                        });
-                    }
+                    Ok(request) => jobs.push(Job {
+                        key,
+                        generation: conn.generation,
+                        request,
+                    }),
                     Err(_) => {
                         let resp = Response::new(
                             0,
@@ -809,7 +773,7 @@ impl EventLoop {
                     started.elapsed().as_micros() as u64,
                 );
                 if let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) {
-                    conn.append_response_with(&response, job.compact);
+                    conn.append_response(&response);
                 }
                 inlined += 1;
             }
@@ -1034,9 +998,7 @@ fn dispatch(request: Request, backends: &BTreeMap<String, Arc<dyn RemoteQuerySys
     let start = Instant::now();
     let body = match request.body {
         RequestBody::Ping { version } => {
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                // Reply with the peer's (older-or-equal) version so both
-                // sides settle on the shapes it understands.
+            if version == PROTOCOL_VERSION {
                 ResponseBody::Pong { version }
             } else {
                 ResponseBody::Err(WireError::VersionMismatch {
@@ -1063,9 +1025,8 @@ fn dispatch(request: Request, backends: &BTreeMap<String, Arc<dyn RemoteQuerySys
                 Err(e) => ResponseBody::Err(WireError::Remote(e)),
             },
         },
-        // The v4 federation ops all answer with pre-v4 response bodies
-        // (`Blob`/`Err`), so the negotiated response codec needs no new
-        // shapes for them.
+        // The replication, federation and fleet observability ops all
+        // answer with `Blob`/`Err` bodies.
         RequestBody::Manifest { ns } => match backends.get(&ns) {
             None => ResponseBody::Err(WireError::UnknownNamespace(ns)),
             Some(backend) => match backend.manifest_bytes() {
@@ -1087,7 +1048,6 @@ fn dispatch(request: Request, backends: &BTreeMap<String, Arc<dyn RemoteQuerySys
                 Err(e) => ResponseBody::Err(WireError::Remote(e)),
             },
         },
-        // The v5 fleet observability ops reuse `Blob`/`Err` the same way.
         RequestBody::TraceSpans { ns, trace_id } => match backends.get(&ns) {
             None => ResponseBody::Err(WireError::UnknownNamespace(ns)),
             Some(backend) => match backend.trace_spans_bytes(trace_id) {
@@ -1113,8 +1073,8 @@ fn dispatch(request: Request, backends: &BTreeMap<String, Arc<dyn RemoteQuerySys
     Response {
         id: request.id,
         body,
-        // Timing rides back only on traced (v2-shaped) requests, keeping
-        // responses to v1 peers in the v1 frame shape.
+        // Timing rides back only on traced requests: only a traced client
+        // records the server/wire split.
         server_elapsed_us: request.trace.is_some().then_some(elapsed),
     }
 }
@@ -1147,17 +1107,8 @@ mod tests {
         }
     }
 
-    /// Sends one request and decodes the (persist-coded) response —
-    /// valid on connections that have not negotiated v3.
+    /// Sends one request and decodes its response.
     fn ask(conn: &mut TcpStream, req: &Request) -> Response {
-        let bytes = wire::encode_request(req);
-        wire::write_frame(conn, &bytes).unwrap();
-        let payload = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-        wire::decode_response(&payload).unwrap()
-    }
-
-    /// Like [`ask`] on a connection that negotiated the v3 compact codec.
-    fn ask_compact(conn: &mut TcpStream, req: &Request) -> Response {
         let bytes = wire::encode_request(req);
         wire::write_frame(conn, &bytes).unwrap();
         let payload = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
@@ -1175,8 +1126,6 @@ mod tests {
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-        // The v3 ping's own pong is persist-coded (readable pre-upgrade);
-        // every response after it is compact.
         let pong = ask(
             &mut conn,
             &Request {
@@ -1195,7 +1144,7 @@ mod tests {
             }
         );
 
-        let caps = ask_compact(
+        let caps = ask(
             &mut conn,
             &Request {
                 id: 8,
@@ -1211,7 +1160,7 @@ mod tests {
             }
         );
 
-        let hits = ask_compact(
+        let hits = ask(
             &mut conn,
             &Request {
                 id: 9,
@@ -1224,7 +1173,7 @@ mod tests {
         );
         assert!(matches!(hits.body, ResponseBody::Docs(d) if d.len() == 1));
 
-        let missing = ask_compact(
+        let missing = ask(
             &mut conn,
             &Request {
                 id: 10,
@@ -1240,7 +1189,7 @@ mod tests {
             ResponseBody::Err(WireError::Remote(RemoteError::NotFound("nope".into())))
         );
 
-        let unknown_ns = ask_compact(
+        let unknown_ns = ask(
             &mut conn,
             &Request {
                 id: 11,
@@ -1256,30 +1205,6 @@ mod tests {
             ResponseBody::Err(WireError::UnknownNamespace("zzz".into()))
         );
 
-        server.shutdown();
-    }
-
-    #[test]
-    fn legacy_connections_never_see_the_compact_codec() {
-        // A v1/v2-era client that never pings still gets persist-coded
-        // responses, and a v2 ping keeps the connection on persist.
-        let server = HacServer::serve(
-            "127.0.0.1:0",
-            vec![Arc::new(Fixed)],
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let caps = ask(&mut conn, &Request::new(1, RequestBody::Capabilities));
-        assert!(matches!(caps.body, ResponseBody::Capabilities { .. }));
-        let pong = ask(
-            &mut conn,
-            &Request::new(2, RequestBody::Ping { version: 2 }),
-        );
-        assert_eq!(pong.body, ResponseBody::Pong { version: 2 });
-        let caps = ask(&mut conn, &Request::new(3, RequestBody::Capabilities));
-        assert!(matches!(caps.body, ResponseBody::Capabilities { .. }));
         server.shutdown();
     }
 
@@ -1306,7 +1231,7 @@ mod tests {
         let mut got = BTreeSet::new();
         for _ in 0..3 {
             let payload = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-            let resp = wire::decode_response(&payload).unwrap();
+            let resp = wire::decode_response_compact(&payload).unwrap();
             assert!(matches!(resp.body, ResponseBody::Capabilities { .. }));
             got.insert(resp.id);
         }
@@ -1360,7 +1285,7 @@ mod tests {
             conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             wire::write_frame(&mut conn, b"\xFF\xFF\xFF").unwrap();
             let payload = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-            let resp = wire::decode_response(&payload).unwrap();
+            let resp = wire::decode_response_compact(&payload).unwrap();
             assert_eq!(resp.id, 0);
             assert!(matches!(
                 resp.body,
@@ -1421,11 +1346,16 @@ mod tests {
             healthy
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
-            let pong = ask(
-                &mut healthy,
-                &Request::new(9, RequestBody::Ping { version: 1 }),
+            let ping = RequestBody::Ping {
+                version: PROTOCOL_VERSION,
+            };
+            let pong = ask(&mut healthy, &Request::new(9, ping));
+            assert_eq!(
+                pong.body,
+                ResponseBody::Pong {
+                    version: PROTOCOL_VERSION
+                }
             );
-            assert_eq!(pong.body, ResponseBody::Pong { version: 1 });
         }
         if !dead {
             // The write side may not observe the reset; the read side must.
@@ -1455,11 +1385,16 @@ mod tests {
         .unwrap();
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let pong = ask(
-            &mut conn,
-            &Request::new(1, RequestBody::Ping { version: 1 }),
+        let ping = RequestBody::Ping {
+            version: PROTOCOL_VERSION,
+        };
+        let pong = ask(&mut conn, &Request::new(1, ping));
+        assert_eq!(
+            pong.body,
+            ResponseBody::Pong {
+                version: PROTOCOL_VERSION
+            }
         );
-        assert_eq!(pong.body, ResponseBody::Pong { version: 1 });
         // Go silent; the server should hang up on its own.
         let mut one = [0u8; 1];
         let closed = matches!(conn.read(&mut one), Ok(0) | Err(_));
@@ -1494,8 +1429,8 @@ mod tests {
         }
     }
 
-    /// A backend with a durable-store surface: answers the v4 federation
-    /// ops from canned bytes.
+    /// A backend with a durable-store surface: answers the federation and
+    /// fleet observability ops from canned bytes.
     struct FedSrc;
 
     impl RemoteQuerySystem for FedSrc {

@@ -5,75 +5,24 @@
 //! ```text
 //! ┌──────────┬──────────────┬───────────────────────────┐
 //! │ "HACN"   │ len: u32 LE  │ payload: len bytes        │
-//! │ 4 bytes  │ 4 bytes      │ serde binary codec        │
+//! │ 4 bytes  │ 4 bytes      │                           │
 //! └──────────┴──────────────┴───────────────────────────┘
 //! ```
 //!
-//! The payload is a [`Request`] or [`Response`] encoded with the same
-//! self-describing binary codec the VFS snapshot format uses
-//! ([`hac_vfs::persist`]), so the workspace carries exactly one
-//! serialization scheme. Requests carry client-chosen `id`s and responses
-//! echo them, so a client may pipeline several requests on one connection
-//! and match answers out of band.
+//! A [`Request`] payload is encoded with the self-describing binary
+//! codec the VFS snapshot format uses ([`hac_vfs::persist`]): requests
+//! are small, and one self-describing decoder keeps the server loop
+//! simple. A [`Response`] payload uses the compact fixed-layout codec
+//! ([`encode_response_compact_into`]/[`decode_response_compact`]), which
+//! keeps serialization off the hot search path. Requests carry
+//! client-chosen `id`s and responses echo them, so a client may pipeline
+//! several requests on one connection and match answers out of band.
 //!
-//! Versioning: the protocol version rides in the `ping` handshake (and in
-//! `capabilities`); a server refuses pings outside its supported range
-//! with [`WireError::VersionMismatch`] rather than guessing at frame
-//! shapes, and replies to an in-range older ping with that older version
-//! so the peer knows to speak the downgraded shape.
-//!
-//! ## Protocol evolution (v1 → v2)
-//!
-//! v2 adds `trace` to [`Request`] and `server_elapsed_us` to [`Response`].
-//! The codec ([`hac_vfs::persist`]) enforces strict struct arity, so the
-//! new fields are *capability-gated* rather than silently defaulted: a
-//! message without them encodes in the exact v1 two-field shape
-//! (bit-for-bit what a v1 peer emits), and decoding tries the v2 shape
-//! first, then falls back to v1. A client only attaches trace context on
-//! connections whose handshake negotiated v2, so v1 peers never see a
-//! three-field frame.
-//!
-//! ## Protocol evolution (v2 → v3)
-//!
-//! v3 changes no message *semantics* — it swaps the response payload
-//! encoding for the compact fixed-layout codec
-//! ([`encode_response_compact`]/[`decode_response_compact`]), cutting the
-//! dominant serialization cost out of the hot search path (the
-//! self-describing codec spends tens of microseconds on a multi-hundred-
-//! doc response; the compact codec is a few). The upgrade is negotiated:
-//! a v3 `Ping` (and its `Pong`, still persist-coded so older peers can
-//! read the refusal/downgrade) switches the *response* direction of that
-//! connection to the compact codec for all subsequent frames. Requests
-//! keep the persist codec in every version — they are small, and keeping
-//! them self-describing preserves the one-decoder server loop. v1/v2
-//! peers never negotiate v3, so their frame shapes are untouched.
-//!
-//! ## Protocol evolution (v3 → v4)
-//!
-//! v4 adds three request operations for federation — `Manifest` and
-//! `Object` (segment-shipped replication: a replica pulls the primary's
-//! durable-index manifest, diffs it against what it has applied, and
-//! fetches exactly the missing content-addressed objects) and `ShardMap`
-//! (a `fed://` client asks any shard for the federation's placement map).
-//! The change is purely *additive*: no existing message shape moves, and
-//! every new operation answers with already-existing response bodies
-//! (`Blob` for the payload bytes, `Err` otherwise), so the v3 compact
-//! response codec covers them with no new tags. The new variants sit at
-//! the end of [`RequestBody`], so v1–v3 frames decode exactly as before;
-//! a pre-v4 server that receives one fails to decode the request and
-//! drops the connection, which is why clients only issue these ops on
-//! connections whose handshake negotiated v4.
-//!
-//! ## Protocol evolution (v4 → v5)
-//!
-//! v5 adds two request operations for the fleet observability plane —
-//! `TraceSpans` (a coordinator stitching `/trace/<id>` pulls the span
-//! forest a peer recorded for one trace id, HACT bytes) and `Metrics`
-//! (a fleet scrape pulls a peer's metric-registry snapshot, HACS
-//! bytes). Exactly like v4's additions the change is purely additive:
-//! both new ops answer with the existing `Blob`/`Err` response bodies,
-//! the new variants sit at the end of [`RequestBody`], and clients only
-//! issue them on connections whose handshake negotiated v5.
+//! There is one protocol version, [`PROTOCOL_VERSION`]. It rides in the
+//! `ping` handshake (and in `capabilities`); a server answers a ping for
+//! any other version with [`WireError::VersionMismatch`] rather than
+//! guessing at frame shapes. Every response, the handshake `Pong`
+//! included, is compact-coded from a connection's first frame.
 
 use std::io::{self, Read, Write};
 
@@ -83,12 +32,9 @@ use hac_core::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 
 /// Version of the frame payload encoding. Bump on any incompatible change
-/// to [`Request`]/[`Response`].
-pub const PROTOCOL_VERSION: u16 = 5;
-
-/// Oldest protocol version this build still speaks (v1 peers interoperate
-/// with tracing disabled).
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// to [`Request`]/[`Response`]; peers speaking different versions refuse
+/// each other at the handshake.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"HACN";
@@ -97,7 +43,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"HACN";
 /// or hostile length prefix allocating gigabytes).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Trace context propagated across the wire (v2+), linking the server's
+/// Trace context propagated across the wire, linking the server's
 /// spans into the client's trace. Mirrors [`hac_obs::TraceContext`];
 /// duplicated here so the wire shape is owned by the protocol, not the
 /// observability crate.
@@ -134,13 +80,12 @@ pub struct Request {
     pub id: u64,
     /// The operation.
     pub body: RequestBody,
-    /// Trace context to continue server-side (v2+; `None` encodes in the
-    /// v1 frame shape).
+    /// Trace context to continue server-side, when the caller is traced.
     pub trace: Option<TraceContext>,
 }
 
 impl Request {
-    /// An untraced request (the v1-compatible shape).
+    /// An untraced request.
     pub fn new(id: u64, body: RequestBody) -> Self {
         Request {
             id,
@@ -174,14 +119,14 @@ pub enum RequestBody {
         /// Remote document id (opaque to HAC).
         doc: String,
     },
-    /// (v4) The namespace's durable-index manifest (HACM bytes), the root
+    /// The namespace's durable-index manifest (HACM bytes), the root
     /// of segment-shipped replication. Answered with
     /// [`ResponseBody::Blob`].
     Manifest {
         /// Target namespace.
         ns: String,
     },
-    /// (v4) One content-addressed store object by hex hash — a segment,
+    /// One content-addressed store object by hex hash — a segment,
     /// base snapshot, or path sidecar named by a previously fetched
     /// manifest. Answered with [`ResponseBody::Blob`]; the client verifies
     /// the bytes hash to `hash` before applying them.
@@ -191,7 +136,7 @@ pub enum RequestBody {
         /// Hex content hash of the object.
         hash: String,
     },
-    /// (v4) The shard map (HACF bytes) of the federation this namespace
+    /// The shard map (HACF bytes) of the federation this namespace
     /// belongs to, so clients and coordinator agree on placement.
     /// Answered with [`ResponseBody::Blob`], or `Err(NotFound)` when the
     /// namespace is not federated.
@@ -199,7 +144,7 @@ pub enum RequestBody {
         /// Target namespace (any shard of the federation).
         ns: String,
     },
-    /// (v5) The span forest this server recorded for one trace id (HACT
+    /// The span forest this server recorded for one trace id (HACT
     /// bytes) — the pull half of cross-node trace stitching. Answered
     /// with [`ResponseBody::Blob`]; an id the server never saw yields an
     /// empty forest, not an error (span rings evict).
@@ -209,7 +154,7 @@ pub enum RequestBody {
         /// The trace id whose spans are wanted.
         trace_id: u64,
     },
-    /// (v5) The server's current metric-registry snapshot (HACS bytes) —
+    /// The server's current metric-registry snapshot (HACS bytes) —
     /// one node's contribution to a federated metrics scrape. Answered
     /// with [`ResponseBody::Blob`].
     Metrics {
@@ -236,20 +181,19 @@ impl RequestBody {
 }
 
 /// One server→client message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Echo of the request's id (0 when the request was undecodable).
     pub id: u64,
     /// The outcome.
     pub body: ResponseBody,
     /// Server-side handling time in microseconds, returned for traced
-    /// requests so the client can split wire overhead from server time
-    /// (v2+; `None` encodes in the v1 frame shape).
+    /// requests so the client can split wire overhead from server time.
     pub server_elapsed_us: Option<u64>,
 }
 
 impl Response {
-    /// An untimed response (the v1-compatible shape).
+    /// An untimed response.
     pub fn new(id: u64, body: ResponseBody) -> Self {
         Response {
             id,
@@ -260,7 +204,7 @@ impl Response {
 }
 
 /// Outcomes a server may return.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// Answer to [`RequestBody::Ping`].
     Pong {
@@ -284,7 +228,7 @@ pub enum ResponseBody {
 
 /// Errors that cross the wire. The transport-independent subset is
 /// [`RemoteError`]; the rest are protocol-level refusals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The backend reported a remote error (passed through verbatim).
     Remote(RemoteError),
@@ -400,78 +344,18 @@ fn invalid(kind: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("undecodable {kind}"))
 }
 
-// The codec's strict struct arity makes wire evolution explicit: the
-// legacy two-field shapes below are what v1 peers read and write (tuples
-// and structs encode identically), and the v2 structs carry the new
-// optional third field. Encoding picks the oldest shape that loses
-// nothing; decoding tries newest first.
-
-#[derive(Serialize, Deserialize)]
-struct RequestV1 {
-    id: u64,
-    body: RequestBody,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ResponseV1 {
-    id: u64,
-    body: ResponseBody,
-}
-
-/// Encodes a request payload. Untraced requests encode in the v1 frame
-/// shape, bit-for-bit what a v1 client emits.
+/// Encodes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let encoded = if req.trace.is_some() {
-        hac_vfs::persist::encode_value(req)
-    } else {
-        hac_vfs::persist::encode_value(&RequestV1 {
-            id: req.id,
-            body: req.body.clone(),
-        })
-    };
-    encoded.unwrap_or_default()
+    hac_vfs::persist::encode_value(req).unwrap_or_default()
 }
 
-/// Decodes a request payload, accepting both the v2 (traced) and v1
-/// frame shapes.
+/// Decodes a request payload.
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not a valid request in any shape.
+/// `InvalidData` when the bytes are not a valid request.
 pub fn decode_request(bytes: &[u8]) -> io::Result<Request> {
-    if let Ok(req) = hac_vfs::persist::decode_value::<Request>(bytes) {
-        return Ok(req);
-    }
-    let v1: RequestV1 = hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("request"))?;
-    Ok(Request::new(v1.id, v1.body))
-}
-
-/// Encodes a response payload. Responses without server timing encode in
-/// the v1 frame shape, bit-for-bit what a v1 server emits.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let encoded = if resp.server_elapsed_us.is_some() {
-        hac_vfs::persist::encode_value(resp)
-    } else {
-        hac_vfs::persist::encode_value(&ResponseV1 {
-            id: resp.id,
-            body: resp.body.clone(),
-        })
-    };
-    encoded.unwrap_or_default()
-}
-
-/// Decodes a response payload, accepting both the v2 (timed) and v1
-/// frame shapes.
-///
-/// # Errors
-///
-/// `InvalidData` when the bytes are not a valid response in any shape.
-pub fn decode_response(bytes: &[u8]) -> io::Result<Response> {
-    if let Ok(resp) = hac_vfs::persist::decode_value::<Response>(bytes) {
-        return Ok(resp);
-    }
-    let v1: ResponseV1 = hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("response"))?;
-    Ok(Response::new(v1.id, v1.body))
+    hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("request"))
 }
 
 /// Incremental HACN frame assembler for nonblocking sockets.
@@ -619,13 +503,13 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------
-// Compact response codec (protocol v3).
+// Compact response codec.
 //
 // A fixed-layout little-endian encoding of `Response`, written/parsed
 // with no reflection and no intermediate allocations on encode (the
 // caller supplies the output buffer). Tag bytes pin the layout:
-// changing them is a protocol version event, same as the struct shapes
-// above.
+// changing them is a protocol version event, same as the request
+// shapes above.
 
 const CT_PONG: u8 = 0;
 const CT_CAPABILITIES: u8 = 1;
@@ -646,7 +530,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Encodes a response in the compact v3 layout, appending to `out`
+/// Encodes a response in the compact layout, appending to `out`
 /// (cleared first). Reusing one buffer across responses is the point:
 /// the hot path allocates nothing.
 pub fn encode_response_compact_into(resp: &Response, out: &mut Vec<u8>) {
@@ -783,7 +667,7 @@ impl<'a> CompactReader<'a> {
     }
 }
 
-/// Decodes a compact v3 response payload.
+/// Decodes a compact response payload.
 ///
 /// # Errors
 ///
@@ -891,12 +775,6 @@ mod tests {
         assert_eq!(back, req);
     }
 
-    fn roundtrip_resp(resp: Response) {
-        let bytes = encode_response(&resp);
-        let back = decode_response(&bytes).unwrap();
-        assert_eq!(back, resp);
-    }
-
     #[test]
     fn requests_roundtrip() {
         roundtrip_req(Request {
@@ -933,79 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn responses_roundtrip() {
-        roundtrip_resp(Response {
-            id: 9,
-            server_elapsed_us: None,
-            body: ResponseBody::Pong {
-                version: PROTOCOL_VERSION,
-            },
-        });
-        roundtrip_resp(Response {
-            id: 10,
-            server_elapsed_us: None,
-            body: ResponseBody::Capabilities {
-                version: 1,
-                namespaces: vec!["a".into(), "b".into()],
-            },
-        });
-        roundtrip_resp(Response {
-            id: 11,
-            server_elapsed_us: None,
-            body: ResponseBody::Docs(vec![RemoteDoc {
-                id: "u1".into(),
-                title: "T".into(),
-            }]),
-        });
-        roundtrip_resp(Response {
-            id: 12,
-            server_elapsed_us: None,
-            body: ResponseBody::Blob(vec![0, 1, 2, 255]),
-        });
-        for err in [
-            WireError::Remote(RemoteError::Timeout),
-            WireError::Remote(RemoteError::NotFound("x".into())),
-            WireError::UnknownNamespace("zzz".into()),
-            WireError::BadRequest("nope".into()),
-            WireError::VersionMismatch {
-                server: 1,
-                client: 2,
-            },
-        ] {
-            roundtrip_resp(Response {
-                id: 13,
-                server_elapsed_us: None,
-                body: ResponseBody::Err(err),
-            });
-        }
-    }
-
-    #[test]
-    fn untraced_messages_encode_in_the_v1_shape() {
-        // What a v1 peer writes: a two-field struct. Tuples and structs
-        // share an encoding, so a tuple stands in for the old struct.
-        let body = RequestBody::Search {
-            ns: "web".into(),
-            query: ContentExpr::term("x"),
-        };
-        let v1_bytes = hac_vfs::persist::encode_value(&(7u64, body.clone())).unwrap();
-        assert_eq!(
-            encode_request(&Request::new(7, body.clone())),
-            v1_bytes,
-            "untraced request must be bit-for-bit v1"
-        );
-        // And v1 bytes decode on a v2 peer, trace-less.
-        let decoded = decode_request(&v1_bytes).unwrap();
-        assert_eq!(decoded, Request::new(7, body));
-
-        let rbody = ResponseBody::Blob(vec![1, 2, 3]);
-        let v1_bytes = hac_vfs::persist::encode_value(&(9u64, rbody.clone())).unwrap();
-        assert_eq!(encode_response(&Response::new(9, rbody.clone())), v1_bytes);
-        let decoded = decode_response(&v1_bytes).unwrap();
-        assert_eq!(decoded, Response::new(9, rbody));
-    }
-
-    #[test]
     fn traced_messages_roundtrip_with_context_and_timing() {
         let req = Request {
             id: 4,
@@ -1020,10 +825,12 @@ mod tests {
 
         let resp = Response {
             id: 4,
-            body: ResponseBody::Pong { version: 2 },
+            body: ResponseBody::Pong {
+                version: PROTOCOL_VERSION,
+            },
             server_elapsed_us: Some(417),
         };
-        let back = decode_response(&encode_response(&resp)).unwrap();
+        let back = decode_response_compact(&encode_response_compact(&resp)).unwrap();
         assert_eq!(back, resp);
     }
 
@@ -1057,7 +864,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_are_eof_not_panic() {
-        let payload = encode_response(&Response {
+        let payload = encode_response_compact(&Response {
             id: 1,
             server_elapsed_us: None,
             body: ResponseBody::Blob(vec![7; 64]),
@@ -1073,7 +880,7 @@ mod tests {
 
     #[test]
     fn garbled_payload_decodes_to_error_not_panic() {
-        let payload = encode_response(&Response {
+        let payload = encode_response_compact(&Response {
             id: 5,
             server_elapsed_us: None,
             body: ResponseBody::Docs(vec![RemoteDoc {
@@ -1085,9 +892,9 @@ mod tests {
             let mut garbled = payload.clone();
             garbled[i] ^= 0xFF;
             // Any outcome is fine except a panic; most flips must fail.
-            let _ = decode_response(&garbled);
+            let _ = decode_response_compact(&garbled);
         }
-        assert!(decode_response(&[]).is_err());
+        assert!(decode_response_compact(&[]).is_err());
         assert!(decode_request(b"garbage").is_err());
     }
 

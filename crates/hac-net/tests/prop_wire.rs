@@ -1,14 +1,14 @@
-//! Property tests for the wire codec: any request/response — including
-//! deeply nested `ContentExpr` trees and arbitrary byte payloads — must
-//! survive an encode → frame → unframe → decode round trip bit-for-bit.
+//! Property tests for the wire codecs: any request (persist-coded) or
+//! response (compact-coded) — including deeply nested `ContentExpr` trees
+//! and arbitrary byte payloads — must survive an encode → frame → unframe
+//! → decode round trip bit-for-bit.
 
 use proptest::prelude::*;
 
 use hac_core::remote::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 use hac_net::wire::{
-    self, Request, RequestBody, Response, ResponseBody, TraceContext, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, Request, RequestBody, Response, ResponseBody, TraceContext, WireError, PROTOCOL_VERSION,
 };
 
 fn trace_strategy() -> impl Strategy<Value = Option<TraceContext>> {
@@ -117,12 +117,12 @@ proptest! {
         elapsed in any::<u64>(),
     ) {
         let resp = Response { id, body, server_elapsed_us: timed.then_some(elapsed) };
-        let payload = wire::encode_response(&resp);
+        let payload = wire::encode_response_compact(&resp);
         let mut framed = Vec::new();
         wire::write_frame(&mut framed, &payload).unwrap();
         let unframed =
             wire::read_frame(&mut framed.as_slice(), wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-        let back = wire::decode_response(&unframed).unwrap();
+        let back = wire::decode_response_compact(&unframed).unwrap();
         prop_assert_eq!(back, resp);
     }
 
@@ -168,7 +168,7 @@ proptest! {
         let mut stream = Vec::new();
         let mut expected = Vec::new();
         for (i, body) in bodies.into_iter().enumerate() {
-            let payload = wire::encode_response(&Response::new(i as u64, body));
+            let payload = wire::encode_response_compact(&Response::new(i as u64, body));
             wire::write_frame(&mut stream, &payload).unwrap();
             expected.push(payload);
         }
@@ -207,7 +207,7 @@ proptest! {
         xor in 1u8..255,
         split in any::<usize>(),
     ) {
-        let payload = wire::encode_response(&Response::new(7, body));
+        let payload = wire::encode_response_compact(&Response::new(7, body));
         let mut stream = Vec::new();
         wire::write_frame(&mut stream, &payload).unwrap();
         stream[flip] ^= xor; // corrupt one magic byte
@@ -226,8 +226,8 @@ proptest! {
         prop_assert!(decoder.is_poisoned());
     }
 
-    /// Every response shape survives the compact (v3) codec bit-for-bit,
-    /// exactly as it survives the persist codec.
+    /// Every response shape survives the compact codec bit-for-bit
+    /// without framing in between.
     #[test]
     fn compact_codec_roundtrips_every_response(
         id in any::<u64>(),
@@ -245,11 +245,9 @@ proptest! {
 #[test]
 fn version_constant_is_stable() {
     // Bumping the protocol version is a compatibility event; this test
-    // makes it a conscious one. v3 introduced the compact response codec
-    // (negotiated per connection; v1/v2 peers never see it); v4 added the
-    // federation ops (`Manifest`/`Object`/`ShardMap`), additive request
-    // variants answered with pre-existing response bodies; v5 added the
-    // fleet observability ops (`TraceSpans`/`Metrics`) the same way.
-    assert_eq!(PROTOCOL_VERSION, 5);
-    assert_eq!(MIN_PROTOCOL_VERSION, 1);
+    // makes it a conscious one. v6 is the first single-version protocol:
+    // the handshake `Pong` became compact-coded like every other
+    // response, so a v5 peer (which read a persist-coded pong) cannot
+    // parse it, and there is no downgrade to an older version.
+    assert_eq!(PROTOCOL_VERSION, 6);
 }
