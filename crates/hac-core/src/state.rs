@@ -56,6 +56,23 @@ pub fn is_reserved(path: &VPath) -> bool {
     )
 }
 
+/// Whether node `id` lies inside one of HAC's reserved areas: the id form
+/// of [`is_reserved`], stepping up parent pointers to the top-level
+/// ancestor and checking its name.
+fn in_reserved_area(vfs: &Vfs, id: FileId) -> bool {
+    let mut top = id;
+    while let Some(parent) = vfs.parent_of(top).filter(|&p| p != FileId::ROOT) {
+        top = parent;
+    }
+    let mut reserved = false;
+    vfs.visit_children(FileId::ROOT, |v| {
+        if v.id == top {
+            reserved = matches!(v.name, META_DIR | REMOTE_LINK_PREFIX);
+        }
+    });
+    reserved
+}
+
 /// On-disk form of one directory's HAC metadata.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct DirRecordDisk {
@@ -652,13 +669,7 @@ impl HacState {
             return self.semdir_scope(vfs, sd);
         }
         // Transparent: delegate to the parent (terminates at the root).
-        match vfs.path_of(dir).ok().and_then(|p| p.parent()) {
-            Some(parent_path) => match vfs.resolve_nofollow(&parent_path) {
-                Ok(parent) => self.scope_provided(vfs, parent),
-                Err(_) => Scope::new(),
-            },
-            None => self.scope_provided(vfs, FileId::ROOT),
-        }
+        self.scope_provided(vfs, vfs.parent_of(dir).unwrap_or(FileId::ROOT))
     }
 
     /// The scope a `path(...)` reference denotes (§2.5): for a semantic
@@ -682,108 +693,73 @@ impl HacState {
     /// through transparent plain directories.
     pub fn scope_anchor(&self, vfs: &Vfs, dir: FileId) -> FileId {
         let mut cur = dir;
-        loop {
-            let Some(parent_path) = vfs.path_of(cur).ok().and_then(|p| p.parent()) else {
-                return FileId::ROOT;
-            };
-            let Ok(parent) = vfs.resolve_nofollow(&parent_path) else {
-                return FileId::ROOT;
-            };
+        while let Some(parent) = vfs.parent_of(cur) {
             if parent == FileId::ROOT || self.semdirs.contains_key(&parent) {
                 return parent;
             }
             cur = parent;
         }
+        FileId::ROOT
     }
 
     fn semdir_scope(&self, vfs: &Vfs, sd: &SemDir) -> Scope {
         let mut scope = Scope::new();
-        let Ok(dir_path) = vfs.path_of(sd.dir) else {
-            return scope;
-        };
-        let Ok(entries) = vfs.readdir(&dir_path) else {
-            return scope;
-        };
-        for entry in entries {
-            match entry.kind {
-                NodeKind::File => {
-                    if self.index.is_indexed(Self::doc(entry.id)) {
-                        scope.local.insert(Self::doc(entry.id));
-                    }
-                }
-                NodeKind::Symlink => {
-                    let Ok(link_path) = dir_path.join(&entry.name) else {
-                        continue;
-                    };
-                    let Ok(target) = vfs.readlink(&link_path) else {
-                        continue;
-                    };
-                    match decode_remote_target(&target) {
-                        Some((ns, id)) => scope.add_remote_id(ns, id),
-                        None => {
-                            if let Ok(fid) = vfs.resolve(&target) {
-                                if self.index.is_indexed(Self::doc(fid)) {
-                                    scope.local.insert(Self::doc(fid));
-                                }
-                            }
-                        }
-                    }
-                }
-                NodeKind::Dir => {}
-            }
-        }
+        let mut targets: Vec<VPath> = Vec::new();
+        vfs.visit_children(sd.dir, |v| match v.attr.kind {
+            NodeKind::File => self.add_if_indexed(&mut scope, v.id),
+            NodeKind::Symlink => targets.extend(v.link_target.cloned()),
+            NodeKind::Dir => {}
+        });
+        self.add_link_targets(vfs, &mut scope, targets);
         // Namespaces mounted directly on the semantic directory are fully
         // in scope.
-        if let Some(remotes) = self.mounts.get(&sd.dir) {
-            for r in remotes {
-                scope.add_namespace_all(r.namespace());
-            }
-        }
+        self.add_mounted(&mut scope, sd.dir);
         scope
     }
 
     fn syntactic_scope(&self, vfs: &Vfs, dir: FileId) -> Scope {
         let mut scope = Scope::new();
-        let Ok(dir_path) = vfs.path_of(dir) else {
+        if in_reserved_area(vfs, dir) {
             return scope;
-        };
-        let Ok(entries) = hac_vfs::walk(vfs, &dir_path) else {
-            return scope;
-        };
-        for entry in entries {
-            if is_reserved(&entry.path) {
-                continue;
-            }
-            match entry.attr.kind {
-                NodeKind::File => {
-                    if self.index.is_indexed(Self::doc(entry.attr.id)) {
-                        scope.local.insert(Self::doc(entry.attr.id));
-                    }
-                }
-                NodeKind::Symlink => {
-                    if let Ok(target) = vfs.readlink(&entry.path) {
-                        match decode_remote_target(&target) {
-                            Some((ns, id)) => scope.add_remote_id(ns, id),
-                            None => {
-                                if let Ok(fid) = vfs.resolve(&target) {
-                                    if self.index.is_indexed(Self::doc(fid)) {
-                                        scope.local.insert(Self::doc(fid));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                NodeKind::Dir => {
-                    if let Some(remotes) = self.mounts.get(&entry.attr.id) {
-                        for r in remotes {
-                            scope.add_namespace_all(r.namespace());
-                        }
+        }
+        let mut targets: Vec<VPath> = Vec::new();
+        vfs.visit_subtree(dir, |v| match v.attr.kind {
+            NodeKind::File => self.add_if_indexed(&mut scope, v.id),
+            NodeKind::Symlink => targets.extend(v.link_target.cloned()),
+            NodeKind::Dir => self.add_mounted(&mut scope, v.id),
+        });
+        self.add_link_targets(vfs, &mut scope, targets);
+        scope
+    }
+
+    fn add_if_indexed(&self, scope: &mut Scope, file: FileId) {
+        if self.index.is_indexed(Self::doc(file)) {
+            scope.local.insert(Self::doc(file));
+        }
+    }
+
+    /// Every namespace mounted on `dir` is wholly in scope.
+    fn add_mounted(&self, scope: &mut Scope, dir: FileId) {
+        for r in self.mounts.get(&dir).into_iter().flatten() {
+            scope.add_namespace_all(r.namespace());
+        }
+    }
+
+    /// Adds symlink targets to `scope`: a remote link by its id, a local
+    /// target when it resolves to an indexed file. Resolution re-enters the
+    /// VFS, so it runs after the traversal that collected the targets, whose
+    /// callback holds the VFS read lock.
+    fn add_link_targets(&self, vfs: &Vfs, scope: &mut Scope, targets: Vec<VPath>) {
+        for target in targets {
+            match decode_remote_target(&target) {
+                Some((ns, id)) => scope.add_remote_id(ns, id),
+                None => {
+                    if let Ok(fid) = vfs.resolve(&target) {
+                        self.add_if_indexed(scope, fid);
                     }
                 }
             }
         }
-        scope
     }
 
     // ------------------------------------------------------------------
@@ -1673,6 +1649,88 @@ mod tests {
         assert_eq!(sanitize_name("A paper (1999)"), "A_paper__1999");
         assert_eq!(sanitize_name("///"), "remote");
         assert_eq!(sanitize_name("ok-name.txt"), "ok-name.txt");
+    }
+
+    /// A remote that answers nothing: enough to be mounted.
+    struct Silent(&'static str);
+
+    impl RemoteQuerySystem for Silent {
+        fn namespace(&self) -> NamespaceId {
+            NamespaceId(self.0.into())
+        }
+        fn search(
+            &self,
+            _: &hac_index::ContentExpr,
+        ) -> Result<Vec<crate::remote::RemoteDoc>, crate::remote::RemoteError> {
+            Ok(Vec::new())
+        }
+        fn fetch(&self, id: &str) -> Result<Vec<u8>, crate::remote::RemoteError> {
+            Err(crate::remote::RemoteError::NotFound(id.into()))
+        }
+    }
+
+    #[test]
+    fn reference_scope_of_a_plain_directory_is_its_subtree_closure() {
+        let vfs = Vfs::new();
+        let registry = TransducerRegistry::new();
+        let mut state = HacState::new(HacConfig::default());
+        let p = |s: &str| VPath::parse(s).unwrap();
+
+        vfs.mkdir_p(&p("/docs/sub/mnt")).unwrap();
+        vfs.mkdir_p(&p("/other")).unwrap();
+        let a = vfs.save(&p("/docs/a.txt"), b"alpha").unwrap();
+        let b = vfs.save(&p("/docs/sub/b.txt"), b"beta").unwrap();
+        let c = vfs.save(&p("/other/c.txt"), b"gamma").unwrap();
+        vfs.save(&p("/other/d.txt"), b"delta").unwrap();
+        state.sync_subtree(&vfs, &registry, &p("/"));
+        // Saved after the pass: unindexed, so out of every scope.
+        vfs.save(&p("/docs/raw.txt"), b"late").unwrap();
+
+        // Link targets inside and outside the directory count when they
+        // resolve to indexed files; links to a directory, to an unindexed
+        // file, to nowhere, or back up the tree add nothing and are not
+        // followed by the traversal.
+        vfs.symlink(&p("/docs/sub/in"), &p("/docs/sub/b.txt"))
+            .unwrap();
+        vfs.symlink(&p("/docs/out"), &p("/other/c.txt")).unwrap();
+        vfs.symlink(&p("/docs/sub/other"), &p("/other")).unwrap();
+        vfs.symlink(&p("/docs/to-raw"), &p("/docs/raw.txt"))
+            .unwrap();
+        vfs.symlink(&p("/docs/dangling"), &p("/nowhere")).unwrap();
+        vfs.symlink(&p("/docs/sub/cycle"), &p("/docs")).unwrap();
+        let lib = NamespaceId("lib".into());
+        vfs.symlink(&p("/docs/r1"), &encode_remote_target(&lib, "paper 1"))
+            .unwrap();
+        // A namespace mounted on a subdirectory is wholly in scope.
+        let mnt = vfs.resolve(&p("/docs/sub/mnt")).unwrap();
+        state.mounts.insert(
+            mnt,
+            vec![Arc::new(Silent("mounted")) as Arc<dyn RemoteQuerySystem>],
+        );
+
+        let docs = vfs.resolve(&p("/docs")).unwrap();
+        let scope = state.reference_scope(&vfs, docs);
+        let mut want: Vec<u64> = vec![a.0, b.0, c.0];
+        want.sort_unstable();
+        let got: Vec<u64> = scope.local.ids().into_iter().map(|d| d.0).collect();
+        assert_eq!(got, want);
+        assert_eq!(scope.remotes.len(), 2);
+        assert_eq!(
+            scope.remotes[&lib],
+            crate::scope::RemoteSet::Ids(["paper 1".to_string()].into())
+        );
+        assert_eq!(
+            scope.remotes[&NamespaceId("mounted".into())],
+            crate::scope::RemoteSet::All
+        );
+
+        // Inside a reserved area nothing is in scope.
+        vfs.mkdir_p(&p("/.hac-meta/d")).unwrap();
+        vfs.symlink(&p("/.hac-meta/d/l"), &p("/docs/a.txt"))
+            .unwrap();
+        let reserved = vfs.resolve(&p("/.hac-meta/d")).unwrap();
+        let scope = state.reference_scope(&vfs, reserved);
+        assert!(scope.local.is_empty() && scope.remotes.is_empty());
     }
 
     #[test]

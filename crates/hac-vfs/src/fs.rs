@@ -10,6 +10,7 @@
 //! using a well defined API which assumes very little about the native file
 //! system").
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,6 +41,37 @@ pub struct DirEntry {
     pub id: FileId,
     /// Kind of the entry's node.
     pub kind: NodeKind,
+}
+
+/// One node as an id traversal ([`Vfs::visit_subtree`],
+/// [`Vfs::visit_children`]) hands it over, borrowed from the node table.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeVisit<'a> {
+    /// The node's id.
+    pub id: FileId,
+    /// Id of the directory holding it (the root is its own parent).
+    pub parent: FileId,
+    /// Its name in that directory (empty for the root).
+    pub name: &'a str,
+    /// Its attributes, read from the node table.
+    pub attr: Attr,
+    /// A symbolic link's stored target, unresolved; `None` for other kinds.
+    pub link_target: Option<&'a VPath>,
+}
+
+impl<'a> NodeVisit<'a> {
+    fn of(node: &'a Node, name: &'a str) -> Self {
+        NodeVisit {
+            id: node.id,
+            parent: node.parent,
+            name,
+            attr: node.attr(),
+            link_target: match &node.body {
+                NodeBody::Symlink { target } => Some(target),
+                _ => None,
+            },
+        }
+    }
 }
 
 /// Behaviour of [`Vfs::open`] when the path does not exist.
@@ -107,6 +139,19 @@ impl Inner {
     fn tick(&mut self) -> LogicalTime {
         self.clock += 1;
         LogicalTime(self.clock)
+    }
+
+    fn is_mount(&self, id: FileId) -> bool {
+        self.mounts.iter().any(|(m, _)| *m == id)
+    }
+
+    /// The entries a traversal descends into: a directory's own, unless a
+    /// mounted namespace covers it.
+    fn local_entries<'a>(&self, node: &'a Node) -> Option<&'a BTreeMap<String, FileId>> {
+        if self.is_mount(node.id) {
+            return None;
+        }
+        node.dir_entries()
     }
 
     fn mount_at(&self, id: FileId) -> Option<Arc<Vfs>> {
@@ -294,6 +339,15 @@ impl Vfs {
         }
         names.reverse();
         VPath::from_components(names)
+    }
+
+    /// The id of the directory holding `id`, read from the node's parent
+    /// pointer. `None` for the root and for ids that are not live.
+    pub fn parent_of(&self, id: FileId) -> Option<FileId> {
+        if id == FileId::ROOT {
+            return None;
+        }
+        self.inner.read().nodes.get(id).map(|n| n.parent)
     }
 
     fn resolve_target(&self, path: &VPath, follow_last: bool, depth: usize) -> VfsResult<Target> {
@@ -1252,20 +1306,64 @@ impl Vfs {
     // Bulk access for indexing / persistence
     // ------------------------------------------------------------------
 
-    /// Runs `f` over every live node (id, path, attr) in id order. Used by
-    /// the indexer's full-scan pass and the walk helpers.
-    pub fn for_each_node(&self, mut f: impl FnMut(FileId, &VPath, &Attr)) {
-        // Collect under the lock, call back outside it, so `f` may re-enter
-        // the VFS.
-        let snapshot: Vec<(FileId, Attr)> = {
-            let inner = self.inner.read();
-            inner.nodes.iter().map(|n| (n.id, n.attr())).collect()
+    /// Depth-first, name-ordered traversal of the subtree rooted at `start`,
+    /// by id and under one read lock: `start` first, then each directory's
+    /// entries in name order, every subdirectory's subtree right after its
+    /// own entry. Symbolic links are reported, never followed. A mount point
+    /// is reported as the local directory it covers and not descended into:
+    /// the mounted namespace is foreign and its ids are not ours. No path is
+    /// built or resolved and the attribute cache is neither read nor filled.
+    ///
+    /// `f` runs with the node table's read lock held, so it must not call
+    /// back into this `Vfs`: a second read can deadlock against a queued
+    /// writer. Collect what needs resolving (link targets, say) and resolve
+    /// it after the traversal returns.
+    ///
+    /// Returns `false`, visiting nothing, when `start` is not a live node.
+    pub fn visit_subtree(&self, start: FileId, mut f: impl FnMut(&NodeVisit<'_>)) -> bool {
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.read();
+        let Some(node) = inner.nodes.get(start) else {
+            return false;
         };
-        for (id, attr) in snapshot {
-            if let Ok(path) = self.path_of(id) {
-                f(id, &path, &attr);
+        f(&NodeVisit::of(node, &node.name));
+        let mut open: Vec<_> = inner
+            .local_entries(node)
+            .map(|e| e.iter())
+            .into_iter()
+            .collect();
+        while let Some(entries) = open.last_mut() {
+            let Some((name, &id)) = entries.next() else {
+                open.pop();
+                continue;
+            };
+            let Some(node) = inner.nodes.get(id) else {
+                continue;
+            };
+            f(&NodeVisit::of(node, name));
+            if let Some(children) = inner.local_entries(node) {
+                open.push(children.iter());
             }
         }
+        true
+    }
+
+    /// Visits the entries of directory `dir` in name order, one level deep,
+    /// under one read lock; the same rules and the same restriction on `f`
+    /// as [`Vfs::visit_subtree`]. A mount point has no local entries to
+    /// visit. Returns `false` when `dir` is not a live directory.
+    pub fn visit_children(&self, dir: FileId, mut f: impl FnMut(&NodeVisit<'_>)) -> bool {
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.read();
+        let Some(node) = inner.nodes.get(dir).filter(|n| n.kind() == NodeKind::Dir) else {
+            return false;
+        };
+        for (name, &id) in inner.local_entries(node).into_iter().flatten() {
+            if let Some(child) = inner.nodes.get(id) {
+                f(&NodeVisit::of(child, name));
+            }
+        }
+        true
     }
 
     /// Clones the raw node table (for snapshot persistence).

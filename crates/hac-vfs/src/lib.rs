@@ -13,7 +13,9 @@
 //!   cache ([`attrcache`]), the two structures the paper charges the Andrew
 //!   benchmark's Copy/Read and Scan phases to;
 //! * a mutation [`event`] stream for reindex daemons and tests;
-//! * subtree [`mod@walk`] helpers and snapshot [`persist`]ence.
+//! * an id-native subtree traversal under one lock
+//!   ([`Vfs::visit_subtree`]), path-building [`mod@walk`] collectors over
+//!   it, and snapshot [`persist`]ence.
 //!
 //! Everything is deterministic: time is a logical mutation counter, ids are
 //! allocated monotonically and never reused.
@@ -37,6 +39,6 @@ pub use attrcache::{AttrCache, CacheStats};
 pub use error::{VfsError, VfsResult};
 pub use event::{EventBus, VfsEvent};
 pub use fd::{Fd, OpenMode, ProcessId};
-pub use fs::{CreatePolicy, DirEntry, SyscallSnapshot, Vfs};
+pub use fs::{CreatePolicy, DirEntry, NodeVisit, SyscallSnapshot, Vfs};
 pub use path::VPath;
 pub use walk::{files_under, walk, WalkEntry};

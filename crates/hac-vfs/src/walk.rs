@@ -1,7 +1,7 @@
-//! Subtree traversal helpers.
+//! Path-building collectors over the id traversal.
 
-use crate::attr::{Attr, NodeKind};
-use crate::error::VfsResult;
+use crate::attr::{Attr, FileId, NodeKind};
+use crate::error::{VfsError, VfsResult};
 use crate::fs::Vfs;
 use crate::path::VPath;
 
@@ -15,47 +15,47 @@ pub struct WalkEntry {
     pub attr: Attr,
 }
 
-/// Depth-first, name-ordered traversal of the subtree rooted at `start`.
+/// Depth-first, name-ordered traversal of the subtree rooted at `start`: a
+/// collector over [`Vfs::visit_subtree`] that gives each entry its path,
+/// joined once onto its parent's.
 ///
-/// The starting directory itself is included as the first entry. Symbolic
-/// links are reported but never followed; mount points are not descended
-/// into (the mounted namespace is foreign).
+/// The starting node itself is included as the first entry, under `start`
+/// as given. Symbolic links are reported but never followed; mount points
+/// are reported as the local directory they cover and not descended into
+/// (the mounted namespace is foreign).
 ///
 /// # Errors
 ///
-/// Propagates resolution errors for `start`; entries that vanish mid-walk
-/// (concurrent mutation) are silently skipped.
+/// Resolution errors for `start` (without following a final symlink or
+/// crossing a final mount point); [`VfsError::Unsupported`] when `start`
+/// lies inside a mounted namespace.
 pub fn walk(vfs: &Vfs, start: &VPath) -> VfsResult<Vec<WalkEntry>> {
-    let mut out = Vec::new();
-    let attr = vfs.lstat(start)?;
-    out.push(WalkEntry {
-        path: start.clone(),
-        attr,
+    let id = vfs.resolve_nofollow(start)?;
+    let mut out: Vec<WalkEntry> = Vec::new();
+    // The directories on the current descent: (id, index in `out`).
+    let mut open: Vec<(FileId, usize)> = Vec::new();
+    let live = vfs.visit_subtree(id, |v| {
+        let path = if out.is_empty() {
+            start.clone()
+        } else {
+            let Some(depth) = open.iter().rposition(|&(dir, _)| dir == v.parent) else {
+                return;
+            };
+            open.truncate(depth + 1);
+            let Ok(path) = out[open[depth].1].path.join(v.name) else {
+                return;
+            };
+            path
+        };
+        if v.attr.kind == NodeKind::Dir {
+            open.push((v.id, out.len()));
+        }
+        out.push(WalkEntry { path, attr: v.attr });
     });
-    if attr.kind == NodeKind::Dir {
-        walk_into(vfs, start, &mut out);
+    if !live {
+        return Err(VfsError::NotFound(start.clone()));
     }
     Ok(out)
-}
-
-fn walk_into(vfs: &Vfs, dir: &VPath, out: &mut Vec<WalkEntry>) {
-    let entries = match vfs.readdir(dir) {
-        Ok(e) => e,
-        Err(_) => return,
-    };
-    for entry in entries {
-        let Ok(path) = dir.join(&entry.name) else {
-            continue;
-        };
-        let Ok(attr) = vfs.lstat(&path) else { continue };
-        out.push(WalkEntry {
-            path: path.clone(),
-            attr,
-        });
-        if attr.kind == NodeKind::Dir {
-            walk_into(vfs, &path, out);
-        }
-    }
 }
 
 /// Collects the paths of all regular files in the subtree rooted at `start`.

@@ -367,6 +367,38 @@ fn mounts_read_through_and_block_writes() {
 }
 
 #[test]
+fn walk_does_not_descend_into_mounts() {
+    let host = Vfs::new();
+    host.mkdir_p(&p("/mnt/remote")).unwrap();
+    host.save(&p("/mnt/zz.txt"), b"host doc").unwrap();
+    let covered = host.resolve_nofollow(&p("/mnt/remote")).unwrap();
+    let guest = Arc::new(Vfs::new());
+    guest.mkdir(&p("/shared")).unwrap();
+    guest.save(&p("/shared/doc.txt"), b"remote doc").unwrap();
+    host.mount(&p("/mnt/remote"), Arc::clone(&guest)).unwrap();
+
+    let entries = hac_vfs::walk(&host, &VPath::root()).unwrap();
+    let paths: Vec<String> = entries.iter().map(|e| e.path.to_string()).collect();
+    assert_eq!(paths, vec!["/", "/mnt", "/mnt/remote", "/mnt/zz.txt"]);
+    // The mount point is reported once, as the local directory it covers.
+    let at_mount: Vec<_> = entries.iter().filter(|e| e.attr.id == covered).collect();
+    assert_eq!(at_mount.len(), 1);
+    assert_eq!(at_mount[0].path, p("/mnt/remote"));
+    assert!(at_mount[0].attr.is_dir());
+
+    // Walking from the mount point reports only the mount point.
+    let from_mount = hac_vfs::walk(&host, &p("/mnt/remote")).unwrap();
+    assert_eq!(from_mount.len(), 1);
+    assert_eq!(from_mount[0].attr.id, covered);
+    let mut children = 0;
+    assert!(host.visit_children(covered, |_| children += 1));
+    assert_eq!(children, 0);
+
+    // Reads still cross the mount.
+    assert_eq!(host.readdir(&p("/mnt/remote")).unwrap()[0].name, "shared");
+}
+
+#[test]
 fn double_mount_rejected() {
     let host = Vfs::new();
     host.mkdir(&p("/m")).unwrap();
@@ -410,6 +442,24 @@ fn counters_track_operations() {
     assert!(c.reads >= 1);
     assert_eq!(c.renames, 1);
     assert_eq!(c.removes, 1);
+}
+
+#[test]
+fn parent_of_follows_parent_pointers() {
+    let fs = Vfs::new();
+    let dir = fs.mkdir_p(&p("/a/b")).unwrap();
+    let file = fs.save(&p("/a/b/f.txt"), b"x").unwrap();
+    assert_eq!(fs.parent_of(file), Some(dir));
+    assert_eq!(fs.parent_of(dir), fs.resolve(&p("/a")).ok());
+    assert_eq!(
+        fs.parent_of(fs.resolve(&p("/a")).unwrap()),
+        Some(hac_vfs::FileId::ROOT)
+    );
+    assert_eq!(fs.parent_of(hac_vfs::FileId::ROOT), None);
+    fs.rename(&p("/a/b/f.txt"), &p("/a/g.txt")).unwrap();
+    assert_eq!(fs.parent_of(file), fs.resolve(&p("/a")).ok());
+    fs.unlink(&p("/a/g.txt")).unwrap();
+    assert_eq!(fs.parent_of(file), None);
 }
 
 #[test]

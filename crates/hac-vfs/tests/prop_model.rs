@@ -4,13 +4,15 @@
 //! replay a random operation trace against both the model and the real VFS
 //! and require identical observable outcomes (success/failure and final
 //! contents). Renames and symlinks are exercised separately because the
-//! flat model cannot express subtree moves cheaply.
+//! flat model cannot express subtree moves cheaply. A last property holds
+//! the id-native `walk` to a reference walk built from `readdir` and
+//! `lstat` on random trees with symlinks and symlink cycles.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use hac_vfs::{files_under, VPath, Vfs};
+use hac_vfs::{files_under, walk, NodeKind, VPath, Vfs, WalkEntry};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -117,8 +119,96 @@ fn apply_vfs(fs: &Vfs, op: &Op) -> bool {
     }
 }
 
+/// One step of building a random tree, one byte each: kind, parent pick,
+/// name, target pick. Picks index the directories or all paths made so
+/// far, modulo their count.
+type TreeOp = u32;
+
+/// Builds a tree from `ops`: directories nested at random, files, writes,
+/// renames, and symlinks to existing paths (ancestors included, so cycles
+/// occur) or to paths that do not exist. Returns every path created.
+fn build_tree(fs: &Vfs, ops: &[TreeOp]) -> Vec<VPath> {
+    let mut dirs = vec![VPath::root()];
+    let mut all = vec![VPath::root()];
+    for op in ops {
+        let [kind, parent, name, target] = op.to_le_bytes();
+        let dir = dirs[parent as usize % dirs.len()].clone();
+        let path = dir.join(&format!("n{}", name % 6)).unwrap();
+        let made = match kind % 6 {
+            0 | 1 => fs.mkdir(&path).is_ok(),
+            2 => fs.save(&path, &[name; 3][..(name % 4) as usize]).is_ok(),
+            3 => {
+                let to = &all[target as usize % all.len()];
+                fs.symlink(&path, to).is_ok()
+            }
+            4 => {
+                let to = VPath::parse(&format!("/missing/t{target}")).unwrap();
+                fs.symlink(&path, &to).is_ok()
+            }
+            _ => {
+                // Touch an existing node: rewrite a file or move an entry
+                // into `dir`, both changing attrs the walk must report.
+                let from = &all[target as usize % all.len()];
+                let _ = fs.write_file(from, b"rewritten");
+                let _ = fs.rename(from, &path);
+                false
+            }
+        };
+        if made {
+            if fs.lstat(&path).is_ok_and(|a| a.is_dir()) {
+                dirs.push(path.clone());
+            }
+            all.push(path);
+        }
+    }
+    all
+}
+
+/// The walk as a path-based traversal: `lstat` the start, then `readdir`
+/// and `lstat` every entry, descending into directories.
+fn reference_walk(fs: &Vfs, start: &VPath) -> Vec<WalkEntry> {
+    fn into(fs: &Vfs, dir: &VPath, out: &mut Vec<WalkEntry>) {
+        for entry in fs.readdir(dir).unwrap() {
+            let path = dir.join(&entry.name).unwrap();
+            let attr = fs.lstat(&path).unwrap();
+            out.push(WalkEntry {
+                path: path.clone(),
+                attr,
+            });
+            if attr.kind == NodeKind::Dir {
+                into(fs, &path, out);
+            }
+        }
+    }
+    let attr = fs.lstat(start).unwrap();
+    let mut out = vec![WalkEntry {
+        path: start.clone(),
+        attr,
+    }];
+    if attr.kind == NodeKind::Dir {
+        into(fs, start, &mut out);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn walk_matches_a_readdir_lstat_walk(
+        ops in proptest::collection::vec(any::<TreeOp>(), 1..60),
+        start in any::<u8>(),
+        cache in 1usize..16,
+    ) {
+        // A small attribute cache makes the reference walk evict, so its
+        // attrs come from both the cache and the node table.
+        let fs = Vfs::with_cache_capacity(cache);
+        let all = build_tree(&fs, &ops);
+        prop_assert_eq!(walk(&fs, &VPath::root()).unwrap(), reference_walk(&fs, &VPath::root()));
+        let live: Vec<&VPath> = all.iter().filter(|p| fs.lstat(p).is_ok()).collect();
+        let start = live[start as usize % live.len()];
+        prop_assert_eq!(walk(&fs, start).unwrap(), reference_walk(&fs, start));
+    }
 
     #[test]
     fn vfs_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
